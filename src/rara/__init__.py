@@ -1,6 +1,7 @@
 """Relay-aided random access: analysis, simulation, and multipacket reception."""
 
 from .analytic import (
+    ChainSolution,
     PerformanceMetrics,
     SessionKind,
     StationaryDistribution,
@@ -8,6 +9,7 @@ from .analytic import (
     asymptotic_throughput,
     outage_approx,
     outage_exact,
+    solve_chain,
     stationary_closed_form,
     stationary_power_iteration,
     throughput_approx,
@@ -17,6 +19,7 @@ from .analytic import (
 from .sim import FinitePopulation, PoissonProcess, SimConfig, SimReport, run, sweep
 
 __all__ = [
+    "ChainSolution",
     "PerformanceMetrics",
     "SessionKind",
     "StationaryDistribution",
@@ -24,6 +27,7 @@ __all__ = [
     "asymptotic_throughput",
     "outage_approx",
     "outage_exact",
+    "solve_chain",
     "stationary_closed_form",
     "stationary_power_iteration",
     "throughput_approx",

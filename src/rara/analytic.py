@@ -7,7 +7,9 @@ Arrivals over a session are Poisson, so the session-state sequence forms a
 4-state Markov chain over {Idle, Single, Success, Unsuccess}.  This module
 evaluates the chain in closed form (state probabilities, stationary
 distribution, throughput, outage) together with the large-M Gaussian
-approximation and asymptotic limits.
+approximation and asymptotic limits.  :func:`solve_chain` evaluates whole
+(lambda, M, epsilon) grids at once; the single-point functions evaluate a
+batch of one through the same code.
 """
 
 from __future__ import annotations
@@ -20,13 +22,6 @@ import numpy as np
 from scipy import special
 
 DEFAULT_EPSILON = 0.1
-
-# Above this Poisson mean the cdf recurrence accumulates in log space.
-_LOGSPACE_MEAN = 700.0
-
-# Closed-form stationary solution is considered degenerate below this
-# denominator magnitude and the power-iteration fallback is used instead.
-_DELTA_SINGULAR = 1e-14
 
 
 class ConvergenceError(RuntimeError):
@@ -44,6 +39,8 @@ class SystemParams:
     def __post_init__(self):
         if not (math.isfinite(self.lam) and self.lam >= 0):
             raise ValueError(f"traffic intensity must be finite and >= 0, got {self.lam}")
+        if not float(self.m_relays).is_integer():
+            raise ValueError(f"relay count must be an integer, got {self.m_relays}")
         if self.m_relays < 1:
             raise ValueError(f"need at least one relay, got {self.m_relays}")
         if not (0 < self.epsilon <= 1):
@@ -72,8 +69,8 @@ class StationaryDistribution:
     """Stationary probabilities (pi_0, pi_1, pi_S, pi_U) of the session chain.
 
     ``method`` records how the vector was obtained: "closed_form",
-    "power_iteration", or "degenerate" (closed form bypassed because its
-    denominator vanished).
+    "power_iteration", or "degenerate" (zero traffic: the chain is absorbed
+    in Idle).
     """
 
     pi: np.ndarray
@@ -89,6 +86,19 @@ class PerformanceMetrics:
     outage: float
     mean_session_length: float
     mean_success_count: float
+
+
+@dataclass(frozen=True)
+class ChainSolution:
+    """The session chain solved at every point of a broadcast (lambda, M,
+    epsilon) grid.  Each field has the grid's shape; ``pi`` has one more
+    trailing axis of length 4, ordered like SessionKind."""
+
+    pi: np.ndarray
+    throughput: np.ndarray
+    outage: np.ndarray
+    mean_session_length: np.ndarray
+    mean_success_count: np.ndarray
 
 
 def _pi_vec(pi) -> np.ndarray:
@@ -108,42 +118,97 @@ def poisson_pmf(k: int, mean: float) -> float:
     return math.exp(k * math.log(mean) - mean - math.lgamma(k + 1))
 
 
-def _poisson_pmf_array(ks: np.ndarray, mean: float) -> np.ndarray:
-    """Vectorized log-space Poisson pmf for a fixed mean."""
-    if mean == 0:
-        return (ks == 0).astype(float)
-    ks = np.asarray(ks)
-    return np.exp(ks * math.log(mean) - mean - special.gammaln(ks + 1))
+def _grid(lam, m_relays, epsilon):
+    """Validate a (lambda, M, epsilon) grid and broadcast it to float arrays."""
+    lam, m, eps = np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (lam, m_relays, epsilon)))
+    if not np.all(np.isfinite(lam) & (lam >= 0)):
+        raise ValueError("traffic intensities must be finite and >= 0")
+    if not np.all((m >= 1) & (m == np.floor(m))):
+        raise ValueError("relay counts must be integers >= 1")
+    if not np.all((eps > 0) & (eps <= 1)):
+        raise ValueError("idle-session fractions must be in (0, 1]")
+    return lam, m, eps
 
 
-def poisson_cdf(n: int, mean: float) -> float:
-    """P(X <= n) for X ~ Poisson(mean).
+def _batch_of_one(params: SystemParams):
+    return (np.array([params.lam], dtype=float),
+            np.array([params.m_relays], dtype=float),
+            np.array([params.epsilon], dtype=float))
 
-    Accumulates the multiplicative recurrence pmf(k+1) = pmf(k) * mean/(k+1)
-    in ordinary space; for large means, where pmf(0) underflows, the partial
-    sum is formed in log space instead.
+
+def _durations(m, eps):
+    """Session lengths (epsilon, 1, M+1) of Idle, Single and the long
+    (Success or Unsuccess) states, stacked on a leading axis."""
+    return np.array([eps, np.ones_like(eps), m + 1.0])
+
+
+def _outcomes(lam, m, durations):
+    """Outcome probabilities of the session that follows one of each length
+    in ``durations`` (a leading axis before the grid's shape): the Poisson
+    mean mu of its arrivals, then P(X=0), P(X=1), P(X>=2), P(2<=X<=M+1) and
+    P(X>=M+2).  Tails come from pdtrc, so they keep relative precision."""
+    mu = lam * durations
+    p0 = special.pdtr(0, mu)
+    long = special.pdtrc(1, mu)
+    pu = special.pdtrc(m + 1.0, mu)
+    return mu, p0, mu * p0, long, np.maximum(long - pu, 0.0), pu
+
+
+def _moments(mu, m, eps, pi, pu):
+    """Mean session length, mean success count and outage of ``pi``."""
+    v = (pi[..., 0], pi[..., 1], pi[..., 2] + pi[..., 3])
+    t_bar = eps * v[0] + v[1] + (m + 1.0) * v[2]
+    # packets decoded after a session of each length: sum_{k<=M+1} k P(X=k)
+    decoded = mu * special.pdtr(m, mu)
+    k_bar = v[0] * decoded[0] + v[1] * decoded[1] + v[2] * decoded[2]
+    outage = v[0] * pu[0] + v[1] * pu[1] + v[2] * pu[2]
+    return t_bar, k_bar, outage
+
+
+def solve_chain(lam, m_relays, epsilon=DEFAULT_EPSILON) -> ChainSolution:
+    """Closed-form stationary distribution, throughput, outage and both
+    means of the session chain over a broadcast (lambda, M, epsilon) grid.
+
+    The Success and Unsuccess rows of the chain are equal, so it lumps to
+    (Idle, Single, Long).  By the Markov chain tree theorem the stationary
+    weight of each lumped state is the sum, over the spanning trees directed
+    into it, of the product of their transition probabilities; every term
+    is a product of non-negative entries, so no weight cancels.  Long splits
+    into Success and Unsuccess by the outcome probabilities of the session
+    that follows each state.  All arithmetic is elementwise, so a grid point
+    gives the same bits whatever grid it is solved in.
     """
-    if n < 0:
-        return 0.0
-    if mean < 0 or not math.isfinite(mean):
-        raise ValueError(f"mean must be finite and >= 0, got {mean}")
-    if mean == 0:
-        return 1.0
-    if mean <= _LOGSPACE_MEAN:
-        pmf = math.exp(-mean)
-        total = pmf
-        for k in range(n):
-            pmf *= mean / (k + 1)
-            total += pmf
-        return min(total, 1.0)
-    ks = np.arange(n + 1)
-    log_terms = ks * math.log(mean) - mean - special.gammaln(ks + 1)
-    return float(min(np.exp(special.logsumexp(log_terms)), 1.0))
+    return _solve(*_grid(lam, m_relays, epsilon))
 
 
-def poisson_tail(n: int, mean: float) -> float:
-    """P(X >= n+1), in complement form (never by truncating the series)."""
-    return max(1.0 - poisson_cdf(n, mean), 0.0)
+def _solve(lam, m, eps) -> ChainSolution:
+    mu, to_idle, to_single, to_long, ps, pu = _outcomes(lam, m, _durations(m, eps))
+    # q_xy: probability that the session after lumped state x is in state y
+    _, q_si, q_li = to_idle
+    q_is, _, q_ls = to_single
+    q_il, q_sl, _ = to_long
+    w_idle = q_si * q_li + q_sl * q_li + q_ls * q_si
+    w_single = q_is * q_ls + q_il * q_ls + q_li * q_is
+    w_long = q_il * q_sl + q_is * q_sl + q_si * q_il
+    w_success = w_idle * ps[0] + w_single * ps[1] + w_long * ps[2]
+    w_outage = w_idle * pu[0] + w_single * pu[1] + w_long * pu[2]
+    total = w_idle + w_single + w_success + w_outage
+    pi = np.stack([w_idle, w_single, w_success, w_outage], axis=-1) / total[..., None]
+    t_bar, k_bar, outage = _moments(mu, m, eps, pi, pu)
+    return ChainSolution(pi=pi, throughput=k_bar / t_bar, outage=outage,
+                         mean_session_length=t_bar, mean_success_count=k_bar)
+
+
+def _solve_one(params: SystemParams) -> ChainSolution:
+    return _solve(*_batch_of_one(params))
+
+
+def _moments_of(params: SystemParams, pi):
+    lam, m, eps = _batch_of_one(params)
+    mu, _, _, _, _, pu = _outcomes(lam, m, _durations(m, eps))
+    t_bar, k_bar, outage = _moments(mu, m, eps, _pi_vec(pi)[None, :], pu)
+    return float(t_bar[0]), float(k_bar[0]), float(outage[0])
 
 
 def session_probs(params: SystemParams, duration: float) -> tuple[float, float, float, float]:
@@ -151,13 +216,9 @@ def session_probs(params: SystemParams, duration: float) -> tuple[float, float, 
     number of arrivals accumulated over ``duration`` time units."""
     if duration <= 0:
         raise ValueError(f"duration must be > 0, got {duration}")
-    mu = params.lam * duration
-    p0 = poisson_pmf(0, mu)
-    p1 = poisson_pmf(1, mu)
-    cdf = poisson_cdf(params.m_relays + 1, mu)
-    ps = max(cdf - p0 - p1, 0.0)
-    pu = max(1.0 - cdf, 0.0)
-    return p0, p1, ps, pu
+    lam, m, _ = _batch_of_one(params)
+    _, p0, p1, _, ps, pu = _outcomes(lam, m, np.array([[duration]], dtype=float))
+    return tuple(float(p[0, 0]) for p in (p0, p1, ps, pu))
 
 
 def transition_matrix(params: SystemParams) -> np.ndarray:
@@ -166,16 +227,20 @@ def transition_matrix(params: SystemParams) -> np.ndarray:
     Rows condition on the previous session's length, so the Success and
     Unsuccess rows (both of length M+1) are identical.
     """
-    row_idle = session_probs(params, params.epsilon)
-    row_single = session_probs(params, 1.0)
-    row_long = session_probs(params, params.m_relays + 1.0)
-    return np.array([row_idle, row_single, row_long, row_long])
+    lam, m, eps = _batch_of_one(params)
+    _, p0, p1, _, ps, pu = _outcomes(lam, m, _durations(m, eps))
+    rows = np.stack([p0[:, 0], p1[:, 0], ps[:, 0], pu[:, 0]], axis=-1)
+    return rows[[0, 1, 2, 2]]
 
 
 def stationary_power_iteration(p: np.ndarray, tol: float = 1e-14,
                                max_iter: int = 200_000) -> StationaryDistribution:
-    """Iterate pi <- pi P from a uniform start until the max component change
-    drops below ``tol``.  Independent of the closed-form solution.
+    """Power iteration pi <- pi P from a uniform start, taken in strides by
+    repeated squaring: after k squarings one update multiplies by P^(2^k),
+    so the iterate reaches pi_0 P^(2^(k+1) - 1).  Stops when an update
+    changes no component by ``tol`` or more; ``max_iter`` caps the number of
+    power steps the updates add up to.  Independent of the closed-form
+    solution.
 
     ``p`` may be a stack of matrices (shape (..., n, n)); all chains are then
     iterated together until every one has converged.
@@ -185,39 +250,28 @@ def stationary_power_iteration(p: np.ndarray, tol: float = 1e-14,
     p = np.asarray(p, dtype=float)
     n = p.shape[-1]
     pi = np.full(p.shape[:-2] + (n,), 1.0 / n)
-    for _ in range(max_iter):
-        nxt = np.einsum('...i,...ij->...j', pi, p)
+    power, stride, steps = p, 1, 0
+    while steps + stride <= max_iter:
+        nxt = np.einsum('...i,...ij->...j', pi, power)
         nxt /= nxt.sum(axis=-1, keepdims=True)
+        steps += stride
         if np.max(np.abs(nxt - pi)) < tol:
             return StationaryDistribution(nxt, method="power_iteration")
         pi = nxt
-    raise ConvergenceError(f"no convergence to {tol} within {max_iter} iterations")
+        power = power @ power
+        power /= power.sum(axis=-1, keepdims=True)
+        stride *= 2
+    raise ConvergenceError(f"no convergence to {tol} within {max_iter} power steps")
 
 
 def stationary_closed_form(params: SystemParams) -> StationaryDistribution:
-    """Stationary distribution via the closed-form solution of pi = pi P.
+    """Stationary distribution from the closed form of :func:`solve_chain`.
 
-    Degenerate cases (zero traffic, vanishing denominator) bypass the closed
-    form; the result is then flagged with method="degenerate".
+    Zero traffic is flagged with method="degenerate": the chain is then
+    absorbed in Idle and pi = (1, 0, 0, 0).
     """
-    if params.lam == 0:
-        return StationaryDistribution(np.array([1.0, 0.0, 0.0, 0.0]), method="degenerate")
-    pe = session_probs(params, params.epsilon)
-    p1 = session_probs(params, 1.0)
-    pm = session_probs(params, params.m_relays + 1.0)
-    delta = ((pm[0] + 1 - pe[0]) * (pm[1] + 1 - p1[1])
-             - (pm[0] - p1[0]) * (pm[1] - pe[1]))
-    if abs(delta) < _DELTA_SINGULAR:
-        fallback = stationary_power_iteration(transition_matrix(params))
-        return StationaryDistribution(fallback.pi, method="degenerate")
-    pi0 = (pm[0] * (1 - p1[1]) + pm[1] * p1[0]) / delta
-    pi1 = (pm[1] * (1 - pe[0]) + pm[0] * pe[1]) / delta
-    pi_bar = ((1 - p1[1]) * (1 - pe[0]) - p1[0] * pe[1]) / delta
-    pi_s = pe[2] * pi0 + p1[2] * pi1 + pm[2] * pi_bar
-    pi_u = pe[3] * pi0 + p1[3] * pi1 + pm[3] * pi_bar
-    pi = np.array([pi0, pi1, pi_s, pi_u])
-    pi /= pi.sum()
-    return StationaryDistribution(pi, method="closed_form")
+    method = "degenerate" if params.lam == 0 else "closed_form"
+    return StationaryDistribution(_solve_one(params).pi[0], method=method)
 
 
 def occupancy(k: int, params: SystemParams, pi) -> float:
@@ -229,53 +283,32 @@ def occupancy(k: int, params: SystemParams, pi) -> float:
 
 def outage_exact(params: SystemParams, pi=None) -> float:
     """Probability of a session with >= M+2 contenders (undecodable even with
-    all M relay forwards).  Tail computed in complement form per state."""
+    all M relay forwards), from the pdtrc tail after each state."""
     if pi is None:
-        pi = stationary_closed_form(params)
-    v = _pi_vec(pi)
-    n = params.m_relays + 1
-    return float(sum(v[i] * poisson_tail(n, params.lam * t)
-                     for i, t in enumerate(params.durations)))
+        return float(_solve_one(params).outage[0])
+    return _moments_of(params, pi)[2]
 
 
 def mean_session_length(params: SystemParams, pi) -> float:
-    v = _pi_vec(pi)
-    return float(params.epsilon * v[0] + v[1] + (params.m_relays + 1) * (v[2] + v[3]))
+    return _moments_of(params, pi)[0]
 
 
 def mean_success_count(params: SystemParams, pi) -> float:
-    """Mean successfully delivered packets per session.
-
-    Evaluated both as the truncated first moment sum_{k=1}^{M+1} k Q(k) and
-    as the closed expression lambda*T_i * cdf(M; lambda*T_i) summed over
-    states; the two must agree or the evaluation is numerically broken.
-    """
-    v = _pi_vec(pi)
-    m = params.m_relays
-    closed = 0.0
-    moment = 0.0
-    ks = np.arange(1, m + 2)
-    for i, t in enumerate(params.durations):
-        mu = params.lam * t
-        closed += mu * poisson_cdf(m, mu) * v[i]
-        moment += v[i] * float(np.sum(ks * _poisson_pmf_array(ks, mu)))
-    if abs(closed - moment) > 1e-10 * max(1.0, abs(closed)):
-        raise ArithmeticError(
-            f"moment and closed forms disagree: {closed} vs {moment}")
-    return closed
+    """Mean successfully delivered packets per session: sum over states of
+    pi_i * lambda*T_i * P(X <= M), X ~ Poisson(lambda*T_i), which equals the
+    first moment sum_{k=1}^{M+1} k Q(k)."""
+    return _moments_of(params, pi)[1]
 
 
 def throughput_exact(params: SystemParams) -> PerformanceMetrics:
     """Exact throughput eta = mean packets per session / mean session length,
     bundled with outage and both means."""
-    pi = stationary_closed_form(params)
-    t_bar = mean_session_length(params, pi)
-    k_bar = mean_success_count(params, pi)
+    sol = _solve_one(params)
     return PerformanceMetrics(
-        throughput=k_bar / t_bar,
-        outage=outage_exact(params, pi),
-        mean_session_length=t_bar,
-        mean_success_count=k_bar,
+        throughput=float(sol.throughput[0]),
+        outage=float(sol.outage[0]),
+        mean_session_length=float(sol.mean_session_length[0]),
+        mean_success_count=float(sol.mean_success_count[0]),
     )
 
 

@@ -14,10 +14,13 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import tempfile
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import analytic, mpr, sim
 
@@ -62,23 +65,32 @@ class ExperimentSpec:
     format: str
 
 
+def _as_kind(value, kind):
+    """``value`` as ``kind``; an int grid refuses values with a fractional part."""
+    value = float(value)
+    if kind is int and not value.is_integer():
+        raise ValueError(f"values must be integers, got {value!r}")
+    return kind(value)
+
+
 def parse_grid(text: str, kind=float) -> tuple:
     """Parse ``a,b,c`` or an inclusive ``start:stop:step`` range."""
     text = str(text).strip()
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ValueError(f"range must be start:stop:step, got {text!r}")
-        start, stop, step = (float(p) for p in parts)
-        if step <= 0:
-            raise ValueError(f"range step must be > 0, got {step}")
-        vals = []
-        v = start
-        while v <= stop + step * 1e-9:
-            vals.append(kind(round(v, 12)))
-            v += step
-        return tuple(vals)
-    return tuple(kind(float(p)) for p in text.split(",") if p.strip())
+    if ":" not in text:
+        return tuple(_as_kind(p, kind) for p in text.split(",") if p.strip())
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise ValueError(f"range must be start:stop:step, got {text!r}")
+    start, stop, step = (float(p) for p in parts)
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ValueError(f"range bounds and step must be finite, got {text!r}")
+    if step <= 0:
+        raise ValueError(f"range step must be > 0, got {step}")
+    vals = []
+    # each value from its index, so float error does not accumulate
+    while (v := start + len(vals) * step) <= stop + step * 1e-9:
+        vals.append(v)
+    return tuple(_as_kind(round(v, 12), kind) for v in vals)
 
 
 def validate_spec(raw: dict) -> ExperimentSpec:
@@ -96,15 +108,15 @@ def validate_spec(raw: dict) -> ExperimentSpec:
             return ()
         try:
             vals = parse_grid(value, kind) if isinstance(value, str) \
-                else tuple(kind(v) for v in value)
+                else tuple(_as_kind(v, kind) for v in value)
         except (ValueError, TypeError) as exc:
             problems.append(f"{name}: {exc}")
             return ()
         if not vals:
             problems.append(f"{name}: grid must be non-empty")
         for v in vals:
-            if v < minimum:
-                problems.append(f"{name}: values must be >= {minimum}, got {v}")
+            if not (math.isfinite(v) and v >= minimum):
+                problems.append(f"{name}: values must be finite and >= {minimum}, got {v}")
                 break
         return vals
 
@@ -144,33 +156,39 @@ def validate_spec(raw: dict) -> ExperimentSpec:
                           snr_db=snr_db, output_path=output_path, format=fmt)
 
 
-def _theory_row(lam: float, m: int, epsilon: float) -> dict:
-    params = analytic.SystemParams(lam, m, epsilon)
-    pi = analytic.stationary_closed_form(params)
-    metrics = analytic.throughput_exact(params)
-    if lam > 0:
-        thr_approx = analytic.throughput_approx(params)
-        out_approx = analytic.outage_approx(params)
-    else:
-        # lambda -> 0 limits of the Gaussian approximation
-        thr_approx = 0.0
-        out_approx = 0.0
-    return {
-        "lambda": lam,
-        "m": m,
-        "epsilon": epsilon,
-        "throughput_exact": metrics.throughput,
-        "throughput_approx": thr_approx,
-        "outage_exact": metrics.outage,
-        "outage_approx": out_approx,
-        "asymptotic_throughput": analytic.asymptotic_throughput(lam),
-        "pi_0": pi.pi[0],
-        "pi_1": pi.pi[1],
-        "pi_S": pi.pi[2],
-        "pi_U": pi.pi[3],
-        "mean_session_length": metrics.mean_session_length,
-        "u_discontinuity": int(lam == 1.0),
-    }
+def _theory_rows(grid: list[tuple[float, int]], epsilon: float) -> list[dict]:
+    """One row per (lambda, M) of ``grid``, all solved in one kernel call."""
+    lams, ms = zip(*grid)
+    sol = analytic.solve_chain(np.array(lams), np.array(ms), epsilon)
+    rows = []
+    for (lam, m), thr, out, pi, t_bar in zip(
+            grid, sol.throughput.tolist(), sol.outage.tolist(), sol.pi.tolist(),
+            sol.mean_session_length.tolist()):
+        if lam > 0:
+            params = analytic.SystemParams(lam, m, epsilon)
+            thr_approx = analytic.throughput_approx(params)
+            out_approx = analytic.outage_approx(params)
+        else:
+            # lambda -> 0 limits of the Gaussian approximation
+            thr_approx = 0.0
+            out_approx = 0.0
+        rows.append({
+            "lambda": lam,
+            "m": m,
+            "epsilon": epsilon,
+            "throughput_exact": thr,
+            "throughput_approx": thr_approx,
+            "outage_exact": out,
+            "outage_approx": out_approx,
+            "asymptotic_throughput": analytic.asymptotic_throughput(lam),
+            "pi_0": pi[0],
+            "pi_1": pi[1],
+            "pi_S": pi[2],
+            "pi_U": pi[3],
+            "mean_session_length": t_bar,
+            "u_discontinuity": int(lam == 1.0),
+        })
+    return rows
 
 
 def build_rows(spec: ExperimentSpec) -> tuple[list[str], list[dict]]:
@@ -186,7 +204,7 @@ def build_rows(spec: ExperimentSpec) -> tuple[list[str], list[dict]]:
         return PHY_COLUMNS, rows
 
     grid = [(lam, m) for lam in spec.lambda_grid for m in spec.m_grid]
-    rows = [_theory_row(lam, m, spec.epsilon) for lam, m in grid]
+    rows = _theory_rows(grid, spec.epsilon)
     columns = list(THEORY_COLUMNS)
 
     if spec.mode in ("sim", "compare"):

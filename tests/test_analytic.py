@@ -24,6 +24,8 @@ class TestSystemParams:
         with pytest.raises(ValueError):
             A.SystemParams(0.8, 0, 0.1)
         with pytest.raises(ValueError):
+            A.SystemParams(0.8, 2.5)
+        with pytest.raises(ValueError):
             A.SystemParams(0.8, 10, 0.0)
         with pytest.raises(ValueError):
             A.SystemParams(0.8, 10, 1.5)
@@ -153,6 +155,19 @@ class TestStationary:
         with pytest.raises(A.ConvergenceError):
             A.stationary_power_iteration(p, tol=1e-12, max_iter=5)
 
+    def test_nonnegative_at_tiny_rates(self):
+        # the spanning-tree weights have no cancelling terms, so pi stays
+        # non-negative where arrivals are vanishingly rare
+        for lam in np.logspace(-12, -3, 60):
+            for m in (1, 5, 50, 400):
+                for eps in (0.05, 0.5, 1.0):
+                    params = A.SystemParams(float(lam), m, eps)
+                    sd = A.stationary_closed_form(params)
+                    assert sd.pi.min() >= 0
+                    assert sd.method == "closed_form"
+                    p = A.transition_matrix(params)
+                    assert np.max(np.abs(sd.pi @ p - sd.pi)) < 1e-14
+
     @given(params_st)
     @settings(max_examples=100, deadline=None)
     def test_closed_form_consistency(self, params):
@@ -161,6 +176,29 @@ class TestStationary:
         assert np.all(sd.pi >= -1e-15) and np.all(sd.pi <= 1 + 1e-15)
         assert sd.pi.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(sd.pi @ p - sd.pi)) < 1e-10
+
+
+class TestSolveChain:
+    def test_broadcast_grid_matches_single_points(self):
+        lams = np.array([[0.0], [0.3], [1.2]])
+        ms = np.array([1, 7, 400])
+        sol = A.solve_chain(lams, ms, 0.5)
+        assert sol.pi.shape == (3, 3, 4) and sol.throughput.shape == (3, 3)
+        for a, lam in enumerate(lams[:, 0]):
+            for b, m in enumerate(ms):
+                params = A.SystemParams(float(lam), int(m), 0.5)
+                met = A.throughput_exact(params)
+                assert sol.throughput[a, b] == met.throughput
+                assert sol.outage[a, b] == met.outage
+                assert sol.mean_success_count[a, b] == met.mean_success_count
+                assert np.array_equal(sol.pi[a, b],
+                                      A.stationary_closed_form(params).pi)
+
+    def test_rejects_bad_grid(self):
+        for lam, m, eps in ((-0.1, 5, 0.1), (np.inf, 5, 0.1), (0.8, 2.5, 0.1),
+                            (0.8, 0, 0.1), (0.8, 5, 0.0), (0.8, 5, 1.5)):
+            with pytest.raises(ValueError):
+                A.solve_chain([0.4, lam], m, eps)
 
 
 class TestOccupancy:
@@ -233,11 +271,52 @@ class TestOutageAndThroughput:
     @given(params_st)
     @settings(max_examples=60, deadline=None)
     def test_dual_form_identity(self, params):
-        # mean_success_count raises internally if the two algebraic forms of
-        # the per-session success count disagree
+        # closed form sum_i pi_i lambda T_i P(X <= M) against the truncated
+        # first moment sum_{k=1}^{M+1} k Q(k)
         pi = A.stationary_closed_form(params)
         value = A.mean_success_count(params, pi)
+        moment = math.fsum(k * A.occupancy(k, params, pi)
+                           for k in range(1, params.m_relays + 2))
         assert value >= 0
+        assert value == pytest.approx(moment, rel=1e-10)
+
+    @pytest.mark.parametrize("lam, m, expected", [
+        (0.05, 40, 5.6822e-44),
+        (0.1, 30, 5.4031e-25),
+    ])
+    def test_deep_tail_outage(self, lam, m, expected):
+        value = A.outage_exact(A.SystemParams(lam, m, 0.1))
+        oracle = _outage_oracle(lam, m, 0.1)
+        assert value == pytest.approx(oracle, rel=1e-9, abs=0)
+        assert value == pytest.approx(expected, rel=1e-4, abs=0)
+
+
+def _log_pmf(k, mu):
+    return k * math.log(mu) - mu - math.lgamma(k + 1)
+
+
+def _upper_tail(n, mu):
+    """P(X >= n) for X ~ Poisson(mu < n), summed upward from n: the terms
+    fall at least geometrically, so no digits cancel."""
+    terms = [math.exp(_log_pmf(n, mu))]
+    while terms[-1] > terms[0] * 1e-20:
+        terms.append(terms[-1] * mu / (n + len(terms)))
+    return math.fsum(terms)
+
+
+def _outage_oracle(lam, m, eps):
+    """Outage from transition rows built of log-space pmf terms and upward
+    tail sums, with pi solving pi (P - I) = 0, sum(pi) = 1, by least squares."""
+    rows, tails = [], []
+    for t in (eps, 1.0, m + 1.0, m + 1.0):
+        mu = lam * t
+        tail = _upper_tail(m + 2, mu)
+        body = math.fsum(math.exp(_log_pmf(k, mu)) for k in range(2, m + 2))
+        rows.append((math.exp(-mu), mu * math.exp(-mu), body, tail))
+        tails.append(tail)
+    a = np.vstack([(np.array(rows) - np.eye(4)).T, np.ones(4)])
+    pi = np.linalg.lstsq(a, np.array([0.0, 0.0, 0.0, 0.0, 1.0]), rcond=None)[0]
+    return math.fsum(w * tail for w, tail in zip(pi, tails))
 
 
 class TestQFunction:

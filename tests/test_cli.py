@@ -20,12 +20,25 @@ class TestParseGrid:
         assert cli.parse_grid("1:5:1", int) == (1, 2, 3, 4, 5)
         grid = cli.parse_grid("0.1:0.5:0.1")
         assert grid == pytest.approx((0.1, 0.2, 0.3, 0.4, 0.5))
+        assert cli.parse_grid("0.05:2.0:0.05") == tuple(
+            round(0.05 * i, 12) for i in range(1, 41))
+        # each value comes from its index: repeated addition drifts to
+        # 46.449999999999 by the 930th step of this grid
+        grid = cli.parse_grid("0:50:0.05")
+        assert len(grid) == 1001
+        assert grid == tuple(round(0.05 * i, 12) for i in range(1001))
 
     def test_bad_range(self):
         with pytest.raises(ValueError):
             cli.parse_grid("1:5")
         with pytest.raises(ValueError):
             cli.parse_grid("1:5:0")
+        with pytest.raises(ValueError):
+            cli.parse_grid("0:inf:1")
+        with pytest.raises(ValueError):
+            cli.parse_grid("2.7", int)
+        with pytest.raises(ValueError):
+            cli.parse_grid("1:3:0.5", int)
 
 
 class TestValidateSpec:
@@ -103,12 +116,23 @@ class TestTheoryMode:
         assert float(rows[1]["asymptotic_throughput"]) == 0.5
 
     def test_round_trippable_floats(self, tmp_path):
+        # the grid is solved in one kernel call; each row must still carry
+        # the exact bits of a direct single-point evaluation
         out = tmp_path / "r.csv"
-        cli.main(["theory", "--lambda", "0.8", "--m", "10", "--out", str(out)])
-        row = read_csv(out)[0]
+        cli.main(["theory", "--lambda", "0:2:0.25", "--m", "1,10,50,3200",
+                  "--out", str(out)])
+        rows = read_csv(out)
+        assert len(rows) == 36
         from rara import analytic as A
-        met = A.throughput_exact(A.SystemParams(0.8, 10, 0.1))
-        assert float(row["throughput_exact"]) == float(met.throughput)
+        for row in rows:
+            params = A.SystemParams(float(row["lambda"]), int(row["m"]), 0.1)
+            met = A.throughput_exact(params)
+            pi = A.stationary_closed_form(params).pi
+            assert float(row["throughput_exact"]) == met.throughput
+            assert float(row["outage_exact"]) == met.outage
+            assert float(row["mean_session_length"]) == met.mean_session_length
+            assert [float(row[c]) for c in ("pi_0", "pi_1", "pi_S", "pi_U")] \
+                == pi.tolist()
 
 
 class TestSimAndCompareModes:
@@ -178,6 +202,15 @@ class TestConfigAndErrors:
         rc = cli.main(["theory", "--lambda", "", "--m", "10", "--out", "x.csv"])
         assert rc == 2
         assert "lambda_grid" in capsys.readouterr().err
+        # a fractional relay count is refused, not truncated to M = 2
+        rc = cli.main(["theory", "--lambda", "0.8", "--m", "2.7", "--out", "x.csv"])
+        assert rc == 2
+        assert "m_grid" in capsys.readouterr().err
+        with pytest.raises(cli.SpecValidationError) as exc:
+            cli.validate_spec({"mode": "theory", "lambda_grid": [0.8, float("nan")],
+                               "m_grid": [2.5], "output_path": "x.csv"})
+        fields = " ".join(exc.value.problems)
+        assert "lambda_grid" in fields and "m_grid" in fields
 
     def test_io_exit_code_no_partial_file(self, tmp_path):
         target = tmp_path / "missing" / "out.csv"
