@@ -60,10 +60,6 @@ class SessionKind(enum.IntEnum):
     UNSUCCESS = 3   # >= M+2 devices, outage
 
 
-def session_length(kind: SessionKind, params: SystemParams) -> float:
-    return params.durations[kind]
-
-
 @dataclass(frozen=True)
 class StationaryDistribution:
     """Stationary probabilities (pi_0, pi_1, pi_S, pi_U) of the session chain.

@@ -41,7 +41,10 @@ THEORY_COLUMNS = [
 ]
 SIM_COLUMNS = ["throughput_hat", "stderr", "outage_hat", "sessions", "seed"]
 ERROR_COLUMNS = ["abs_err_throughput", "abs_err_outage"]
-PHY_COLUMNS = ["k", "m", "snr_db", "ser", "trials"]
+PHY_COLUMNS = ["k", "m", "snr_db", "ser", "trials", "seed"]
+
+# Most values a start:stop:step range may expand to.
+MAX_RANGE_VALUES = 100_000
 
 
 class SpecValidationError(ValueError):
@@ -86,6 +89,9 @@ def parse_grid(text: str, kind=float) -> tuple:
         raise ValueError(f"range bounds and step must be finite, got {text!r}")
     if step <= 0:
         raise ValueError(f"range step must be > 0, got {step}")
+    # counted before any value is built, so a huge range costs no memory
+    if (stop - start) / step + 1e-9 >= MAX_RANGE_VALUES:
+        raise ValueError(f"range {text!r} has more than {MAX_RANGE_VALUES} values")
     vals = []
     # each value from its index, so float error does not accumulate
     while (v := start + len(vals) * step) <= stop + step * 1e-9:
@@ -194,13 +200,12 @@ def _theory_rows(grid: list[tuple[float, int]], epsilon: float) -> list[dict]:
 def build_rows(spec: ExperimentSpec) -> tuple[list[str], list[dict]]:
     """Evaluate the experiment grid; rows follow grid order (lambda outer)."""
     if spec.mode == "phy":
+        grid = [(k, m) for m in spec.m_grid for k in range(1, m + 2)]
         rows = []
-        for m in spec.m_grid:
-            for k in range(1, m + 2):
-                ser = mpr.symbol_error_rate(k, m, spec.snr_db,
-                                            spec.n_sessions, spec.seed)
-                rows.append({"k": k, "m": m, "snr_db": spec.snr_db,
-                             "ser": ser, "trials": spec.n_sessions})
+        for (k, m), row_seed in zip(grid, sim.derive_seeds(spec.seed, len(grid))):
+            ser = mpr.symbol_error_rate(k, m, spec.snr_db, spec.n_sessions, row_seed)
+            rows.append({"k": k, "m": m, "snr_db": spec.snr_db, "ser": ser,
+                         "trials": spec.n_sessions, "seed": row_seed})
         return PHY_COLUMNS, rows
 
     grid = [(lam, m) for lam in spec.lambda_grid for m in spec.m_grid]

@@ -9,6 +9,9 @@ well conditioned.
 Channels are i.i.d. circularly-symmetric complex Gaussian with unit variance
 (Rayleigh envelope); symbols are unit-energy QPSK, one symbol standing in for
 one packet.  Relays forward with unit gain.
+
+Channels, reception and detection broadcast over leading batch axes, one
+collision per index; :func:`symbol_errors` alone defines a decoded collision.
 """
 
 from __future__ import annotations
@@ -35,34 +38,22 @@ class UnderdeterminedError(ValueError):
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """One draw of all link gains for K devices, M relays, and the BS."""
+    """All link gains for K devices, M relays, and the BS, over any leading
+    batch axes (one collision per batch index)."""
 
-    direct: np.ndarray        # (K,) device -> BS
-    device_relay: np.ndarray  # (M, K) device -> relay
-    relay_bs: np.ndarray      # (M,) relay -> BS
+    direct: np.ndarray        # (..., K) device -> BS
+    device_relay: np.ndarray  # (..., M, K) device -> relay
+    relay_bs: np.ndarray      # (..., M) relay -> BS
 
     def __post_init__(self):
-        k = self.direct.shape[0]
-        m = self.relay_bs.shape[0]
-        if self.device_relay.shape != (m, k):
-            raise ValueError(f"device-relay gains must be ({m}, {k}), "
-                             f"got {self.device_relay.shape}")
+        *batch, k = self.direct.shape
+        m = self.relay_bs.shape[-1]
+        if self.device_relay.shape != (*batch, m, k) or self.relay_bs.shape != (*batch, m):
+            raise ValueError(f"gains must be {(*batch, m, k)} device-relay and {(*batch, m)} "
+                             f"relay-BS, got {self.device_relay.shape}, {self.relay_bs.shape}")
         for a in (self.direct, self.device_relay, self.relay_bs):
-            if not np.all(np.isfinite(a.view(float))):
+            if not np.all(np.isfinite(a)):
                 raise ValueError("channel gains must be finite")
-
-
-@dataclass(frozen=True)
-class ReceivedBlock:
-    """Stacked observations r_1..r_{M+1} from one collision round."""
-
-    r: np.ndarray
-    noise_var: float
-    relay_noise_var: float
-
-    def __post_init__(self):
-        if self.noise_var < 0 or self.relay_noise_var < 0:
-            raise ValueError("noise variances must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -78,36 +69,42 @@ def _cn(rng: np.random.Generator, shape) -> np.ndarray:
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
 
 
-def generate_channels(k_devices: int, m_relays: int, rng_seed: int) -> ChannelRealization:
-    """Draw all gains i.i.d. CN(0, 1); deterministic for a given seed."""
+def _draw_channels(rng: np.random.Generator, k_devices: int, m_relays: int,
+                   batch: tuple = ()) -> ChannelRealization:
     if k_devices < 1 or m_relays < 1:
         raise ValueError("need at least one device and one relay")
-    rng = np.random.default_rng(rng_seed)
     return ChannelRealization(
-        direct=_cn(rng, k_devices),
-        device_relay=_cn(rng, (m_relays, k_devices)),
-        relay_bs=_cn(rng, m_relays),
+        direct=_cn(rng, (*batch, k_devices)),
+        device_relay=_cn(rng, (*batch, m_relays, k_devices)),
+        relay_bs=_cn(rng, (*batch, m_relays)),
     )
 
 
+def generate_channels(k_devices: int, m_relays: int, rng_seed: int) -> ChannelRealization:
+    """Draw all gains i.i.d. CN(0, 1); deterministic for a given seed."""
+    return _draw_channels(np.random.default_rng(rng_seed), k_devices, m_relays)
+
+
 def composite_matrix(ch: ChannelRealization) -> np.ndarray:
-    """(M+1) x K effective channel: row 1 is the direct link, row m+1 the
+    """(..., M+1, K) effective channel: row 1 is the direct link, row m+1 the
     m-th relay's forwarded copy g_m * h_{m,k}."""
-    return np.vstack([ch.direct, ch.relay_bs[:, None] * ch.device_relay])
+    return np.concatenate([ch.direct[..., None, :],
+                           ch.relay_bs[..., None] * ch.device_relay], axis=-2)
 
 
 def simulate_reception(h: np.ndarray, ch: ChannelRealization, symbols: np.ndarray,
                        noise_var: float, relay_noise_var: float,
-                       rng_seed: int) -> ReceivedBlock:
-    """One noisy collision round: r = H s + stacked noise, where the relay
-    rows carry the forwarded relay noise g_m * w_m on top of background n."""
+                       rng_seed: int | np.random.Generator) -> np.ndarray:
+    """Noisy collision rounds r = H s + stacked noise, broadcast over leading
+    batch axes, where the relay rows carry the forwarded relay noise g_m * w_m
+    on top of background n.  ``rng_seed`` is a seed or a Generator."""
     if noise_var < 0 or relay_noise_var < 0:
         raise ValueError("noise variances must be >= 0")
     rng = np.random.default_rng(rng_seed)
-    n_obs = h.shape[0]
-    r = h @ symbols + _cn(rng, n_obs) * math.sqrt(noise_var)
-    r[1:] += ch.relay_bs * (_cn(rng, n_obs - 1) * math.sqrt(relay_noise_var))
-    return ReceivedBlock(r=r, noise_var=noise_var, relay_noise_var=relay_noise_var)
+    r = np.einsum('...ok,...k->...o', h, symbols)
+    r += _cn(rng, r.shape) * math.sqrt(noise_var)
+    r[..., 1:] += ch.relay_bs * (_cn(rng, ch.relay_bs.shape) * math.sqrt(relay_noise_var))
+    return r
 
 
 def nearest_qpsk(estimates: np.ndarray) -> np.ndarray:
@@ -117,56 +114,69 @@ def nearest_qpsk(estimates: np.ndarray) -> np.ndarray:
     return (re + 1j * im) / math.sqrt(2.0)
 
 
-def decorrelate(h: np.ndarray, block) -> DetectionResult:
-    """Zero-forcing detection: estimates = pinv(H) r, decided by nearest
-    alphabet point.  ``block`` may be a ReceivedBlock or a raw vector.
+def detect(h: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-forcing estimates pinv(H) r and condition numbers cond(H) of a
+    batch of (..., M+1, K) channels, both from one SVD per matrix.
 
-    Refuses K > M+1 (fewer equations than unknowns); a numerically
-    rank-deficient H is flagged as unsuccessful but estimates are still
-    returned.
+    Singular values below numpy's default pinv cutoff (1e-15 of the largest)
+    are dropped, so a rank-deficient H still yields finite estimates; its
+    condition number is inf.  Refuses K > M+1.
     """
-    n_obs, k = h.shape
+    n_obs, k = h.shape[-2:]
     if k > n_obs:
         raise UnderdeterminedError(
             f"{k} colliding devices but only {n_obs} observations; "
             f"need K <= M+1")
-    r = block.r if isinstance(block, ReceivedBlock) else np.asarray(block)
-    cond = float(np.linalg.cond(h))
-    estimates = np.linalg.pinv(h) @ r
+    u, sv, vh = np.linalg.svd(h, full_matrices=False)
+    inv = np.divide(1.0, sv, out=np.zeros_like(sv), where=sv > 1e-15 * sv[..., :1])
+    coeffs = inv * np.einsum('...ok,...o->...k', u.conj(), r)
+    estimates = np.einsum('...kj,...k->...j', vh.conj(), coeffs)
+    cond = np.divide(sv[..., 0], sv[..., -1], out=np.full(sv.shape[:-1], np.inf),
+                     where=sv[..., -1] > 0)
+    return estimates, cond
+
+
+def decorrelate(h: np.ndarray, r: np.ndarray) -> DetectionResult:
+    """Zero-forcing detection of one collision (:func:`detect` with no batch
+    axes), decided by nearest alphabet point.  Refuses K > M+1; a numerically
+    rank-deficient H is flagged as unsuccessful but estimates are returned.
+    """
+    estimates, cond = detect(h, r)
     return DetectionResult(
         estimates=estimates,
         decided=nearest_qpsk(estimates),
         success=bool(cond < CONDITION_THRESHOLD),
-        condition_number=cond,
+        condition_number=float(cond),
     )
+
+
+def symbol_errors(k_devices: int, m_relays: int, snr_db: float, trials: int,
+                  rng: np.random.Generator) -> np.ndarray:
+    """Per-symbol error flags, shape (trials, K), of the decorrelator over
+    ``trials`` fresh channels, symbols, and noise drawn from ``rng``.
+
+    A symbol is wrong if its hard decision is wrong or its trial's composite
+    matrix has cond >= CONDITION_THRESHOLD; a collision decodes iff none of
+    its flags is set.  SNR is per received symbol relative to the
+    unit-variance gains; relay and BS noise share the same variance.
+    """
+    ch = _draw_channels(rng, k_devices, m_relays, (trials,))
+    h = composite_matrix(ch)
+    symbols = QPSK[rng.integers(0, 4, (trials, k_devices))]
+    noise_var = 10.0 ** (-snr_db / 10.0)
+    r = simulate_reception(h, ch, symbols, noise_var, noise_var, rng)
+    estimates, cond = detect(h, r)
+    return (nearest_qpsk(estimates) != symbols) | (cond >= CONDITION_THRESHOLD)[:, None]
 
 
 def symbol_error_rate(k_devices: int, m_relays: int, snr_db: float,
                       trials: int, rng_seed: int) -> float:
-    """Monte-Carlo symbol error rate of the decorrelator over fresh channels,
-    symbols, and noise each trial.  SNR is per received symbol relative to
-    the unit-variance gains; relay and BS noise share the same variance.
-    """
+    """Monte-Carlo symbol error rate: the mean of :func:`symbol_errors` over
+    ``trials`` trials, drawn in fixed chunks."""
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
-    if k_devices > m_relays + 1:
-        raise UnderdeterminedError(
-            f"{k_devices} devices exceed {m_relays}+1 observations")
-    noise_var = 10.0 ** (-snr_db / 10.0)
     rng = np.random.default_rng(rng_seed)
-    errors = 0
-    done = 0
-    while done < trials:
-        n = min(_SER_CHUNK, trials - done)
-        direct = _cn(rng, (n, k_devices))
-        dev_rel = _cn(rng, (n, m_relays, k_devices))
-        rel_bs = _cn(rng, (n, m_relays))
-        h = np.concatenate([direct[:, None, :], rel_bs[..., None] * dev_rel], axis=1)
-        s = QPSK[rng.integers(0, 4, (n, k_devices))]
-        r = np.einsum('nok,nk->no', h, s)
-        r += _cn(rng, (n, m_relays + 1)) * math.sqrt(noise_var)
-        r[:, 1:] += rel_bs * (_cn(rng, (n, m_relays)) * math.sqrt(noise_var))
-        est = np.einsum('nko,no->nk', np.linalg.pinv(h), r)
-        errors += int(np.count_nonzero(nearest_qpsk(est) != s))
-        done += n
+    errors = sum(int(np.count_nonzero(symbol_errors(
+        k_devices, m_relays, snr_db, min(_SER_CHUNK, trials - done), rng)))
+        for done in range(0, trials, _SER_CHUNK))
     return errors / (trials * k_devices)

@@ -4,8 +4,11 @@ Devices arriving during session t contend at the start of session t+1 (they
 cannot transmit while relays are forwarding).  A session with no contenders
 lasts epsilon, with one contender lasts 1, and with two or more lasts M+1
 unit times.  Under the threshold success rule a collision of K <= M+1
-packets is always decoded; the phy-coupled rule instead runs the
-decorrelating detector of :mod:`rara.mpr` at a configured SNR.
+packets is always decoded; the phy-coupled rule instead decodes it with
+:func:`rara.mpr.symbol_errors` at a configured SNR and counts it as
+delivered only if no symbol is in error.  A single transmission (K = 1) is
+always delivered under both rules: it occupies the direct link alone for
+one time unit, with no relay copies for the detector to work on.
 """
 
 from __future__ import annotations
@@ -27,6 +30,9 @@ DEFAULT_WARMUP = 1000
 
 _BATCHES = 100
 _POOL = 1 << 14
+# Collisions per mpr.symbol_errors call under the phy-coupled rule: fixed, so
+# the PHY stream is reproducible; small, as each holds ~10 kB of arrays.
+_DECODE_BATCH = 128
 
 
 @dataclass(frozen=True)
@@ -133,18 +139,6 @@ class _ArrivalPools:
         return int(v)
 
 
-def _phy_decode(k: int, m: int, snr_db: float, phy_rng: np.random.Generator) -> bool:
-    """Run the decorrelator on one collision; True iff all K symbols decode."""
-    chan_seed, rx_seed = (int(s) for s in phy_rng.integers(0, 2**63, 2))
-    ch = mpr.generate_channels(k, m, chan_seed)
-    h = mpr.composite_matrix(ch)
-    symbols = mpr.QPSK[phy_rng.integers(0, 4, k)]
-    noise_var = 10.0 ** (-snr_db / 10.0)
-    block = mpr.simulate_reception(h, ch, symbols, noise_var, noise_var, rx_seed)
-    result = mpr.decorrelate(h, block)
-    return bool(np.array_equal(result.decided, symbols))
-
-
 def run(config: SimConfig) -> SimReport:
     """Simulate ``n_sessions`` counted sessions (after warm-up) and report
     empirical throughput, outage, and session-length estimates.
@@ -155,46 +149,40 @@ def run(config: SimConfig) -> SimReport:
     """
     params = config.params
     m = params.m_relays
-    eps = params.epsilon
     n = config.n_sessions
     arr_ss, phy_ss = np.random.SeedSequence(config.seed).spawn(2)
     arr_rng = np.random.default_rng(arr_ss)
     phy_rng = np.random.default_rng(phy_ss)
-    durations = (eps, 1.0, m + 1.0)
-    pools = _ArrivalPools(config.arrivals, durations, arr_rng)
-    phy = config.success_rule == PHY_COUPLED
+    pools = _ArrivalPools(config.arrivals, params.durations[:3], arr_rng)
 
-    states = np.empty(n, dtype=np.uint8)
     arrived = np.zeros(n, dtype=np.int64)
-    delivered = np.zeros(n, dtype=np.int64)
-    lost = np.zeros(n, dtype=np.int64)
-
-    # initial contenders accumulate over one unit time
+    # a session's length, and so the next contender count, depends only on
+    # its own contender count K; initial contenders accumulate over one unit
     k = pools.draw(1)
     for t in range(-config.warmup_sessions, n):
-        if k == 0:
-            state, d, l, dur_i = 0, 0, 0, 0
-        elif k == 1:
-            state, d, l, dur_i = 1, 1, 0, 1
-        elif k <= m + 1:
-            ok = _phy_decode(k, m, config.snr_db, phy_rng) if (phy and t >= 0) else True
-            state = 2 if ok else 3
-            d, l = (k, 0) if ok else (0, k)
-            dur_i = 2
-        else:
-            state, d, l, dur_i = 3, 0, k, 2
         if t >= 0:
-            states[t] = state
             arrived[t] = k
-            delivered[t] = d
-            lost[t] = l
-        k = pools.draw(dur_i)
+        k = pools.draw(min(k, 2))
+
+    # Idle, Single, Success (2 <= K <= M+1) or Unsuccess, by K alone
+    states = np.minimum(arrived, 2).astype(np.uint8)
+    states[arrived > m + 1] = 3
+    if config.success_rule == PHY_COUPLED:
+        # decode the collisions in fixed-size batches per K; failures are outages
+        collisions = np.flatnonzero(states == 2)
+        for k in np.unique(arrived[collisions]).tolist():
+            of_k = collisions[arrived[collisions] == k]
+            for start in range(0, len(of_k), _DECODE_BATCH):
+                batch = of_k[start:start + _DECODE_BATCH]
+                errors = mpr.symbol_errors(k, m, config.snr_db, len(batch), phy_rng)
+                states[batch[errors.any(axis=1)]] = 3
+    delivered = np.where(states == 3, 0, arrived)
 
     counts = np.bincount(states, minlength=4)
-    lengths = np.array([eps, 1.0, m + 1.0, m + 1.0])[states]
+    lengths = np.array(params.durations)[states]
     total_time = float(np.sum(lengths))
     total_delivered = int(delivered.sum())
-    total_lost = int(lost.sum())
+    total_arrived = int(arrived.sum())
 
     # batch means: sessions are Markov-dependent, so per-session errors
     # understate the variance; batches restore approximate independence
@@ -216,9 +204,9 @@ def run(config: SimConfig) -> SimReport:
 
     return SimReport(
         sessions_by_state=tuple(int(c) for c in counts),
-        packets_arrived=int(arrived.sum()),
+        packets_arrived=total_arrived,
         packets_delivered=total_delivered,
-        packets_lost=total_lost,
+        packets_lost=total_arrived - total_delivered,
         total_time=total_time,
         throughput_hat=total_delivered / total_time,
         outage_hat=int(counts[3]) / n,

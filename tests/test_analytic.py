@@ -31,10 +31,11 @@ class TestSystemParams:
             A.SystemParams(0.8, 10, 1.5)
 
     def test_session_lengths(self):
-        assert A.session_length(A.SessionKind.IDLE, PARAMS_DEFAULT) == 0.1
-        assert A.session_length(A.SessionKind.SINGLE, PARAMS_DEFAULT) == 1.0
-        assert A.session_length(A.SessionKind.SUCCESS, PARAMS_DEFAULT) == 11.0
-        assert A.session_length(A.SessionKind.UNSUCCESS, PARAMS_DEFAULT) == 11.0
+        durations = PARAMS_DEFAULT.durations
+        assert durations[A.SessionKind.IDLE] == 0.1
+        assert durations[A.SessionKind.SINGLE] == 1.0
+        assert durations[A.SessionKind.SUCCESS] == 11.0
+        assert durations[A.SessionKind.UNSUCCESS] == 11.0
 
 
 class TestPoissonPmf:

@@ -35,6 +35,12 @@ class TestParseGrid:
             cli.parse_grid("1:5:0")
         with pytest.raises(ValueError):
             cli.parse_grid("0:inf:1")
+        # refused from its bounds alone, before any value is built
+        with pytest.raises(ValueError, match="more than"):
+            cli.parse_grid("0:1e12:1")
+        assert len(cli.parse_grid(f"1:{cli.MAX_RANGE_VALUES}:1", int)) == cli.MAX_RANGE_VALUES
+        with pytest.raises(ValueError, match="more than"):
+            cli.parse_grid(f"0:{cli.MAX_RANGE_VALUES}:1", int)
         with pytest.raises(ValueError):
             cli.parse_grid("2.7", int)
         with pytest.raises(ValueError):
@@ -174,6 +180,17 @@ class TestPhyMode:
         assert [int(r["k"]) for r in rows] == [1, 2, 3]
         assert all(0.0 <= float(r["ser"]) <= 1.0 for r in rows)
 
+    def test_rows_get_own_seeds(self, tmp_path):
+        # each (k, M) row draws its own channels; reruns stay byte-identical
+        args = ["phy", "--m", "1,2", "--snr-db", "10", "--sessions", "500",
+                "--seed", "4"]
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert cli.main(args + ["--out", str(a)]) == 0
+        cli.main(args + ["--out", str(b)])
+        assert a.read_bytes() == b.read_bytes()
+        seeds = [int(r["seed"]) for r in read_csv(a)]
+        assert len(seeds) == 5 and len(set(seeds)) == 5
+
 
 class TestJsonFormat:
     def test_mirrors_csv_schema(self, tmp_path):
@@ -206,6 +223,9 @@ class TestConfigAndErrors:
         rc = cli.main(["theory", "--lambda", "0.8", "--m", "2.7", "--out", "x.csv"])
         assert rc == 2
         assert "m_grid" in capsys.readouterr().err
+        rc = cli.main(["theory", "--lambda", "0:1e12:1", "--m", "10", "--out", "x.csv"])
+        assert rc == 2
+        assert "lambda_grid" in capsys.readouterr().err
         with pytest.raises(cli.SpecValidationError) as exc:
             cli.validate_spec({"mode": "theory", "lambda_grid": [0.8, float("nan")],
                                "m_grid": [2.5], "output_path": "x.csv"})

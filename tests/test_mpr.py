@@ -81,15 +81,15 @@ class TestSimulateReception:
             relay_bs=np.ones(2, dtype=complex),
         )
         h = mpr.composite_matrix(ch)
-        blk = mpr.simulate_reception(h, ch, np.array([1.0 + 0j]), 0.0, 0.0, 3)
-        assert np.allclose(blk.r, np.ones(3))
+        r = mpr.simulate_reception(h, ch, np.array([1.0 + 0j]), 0.0, 0.0, 3)
+        assert np.allclose(r, np.ones(3))
 
     def test_noiseless_equals_h_s(self):
         ch = mpr.generate_channels(3, 4, 11)
         h = mpr.composite_matrix(ch)
         s = mpr.QPSK[np.array([0, 1, 2])]
-        blk = mpr.simulate_reception(h, ch, s, 0.0, 0.0, 5)
-        assert np.allclose(blk.r, h @ s, atol=1e-14)
+        r = mpr.simulate_reception(h, ch, s, 0.0, 0.0, 5)
+        assert np.allclose(r, h @ s, atol=1e-14)
 
     def test_noise_covariance(self):
         # stacked noise: var n on row 1, var n + |g_m|^2 * var w on relay rows
@@ -97,7 +97,7 @@ class TestSimulateReception:
         h = mpr.composite_matrix(ch)
         s = mpr.QPSK[np.array([0, 1])]
         diffs = np.array([
-            mpr.simulate_reception(h, ch, s, 0.01, 0.01, 1000 + t).r - h @ s
+            mpr.simulate_reception(h, ch, s, 0.01, 0.01, 1000 + t) - h @ s
             for t in range(10_000)])
         emp = np.mean(np.abs(diffs) ** 2, axis=0)
         theo = 0.01 * np.concatenate([[1.0], 1.0 + np.abs(ch.relay_bs) ** 2])
@@ -109,7 +109,7 @@ class TestSimulateReception:
         s = mpr.QPSK[np.array([1, 3])]
         a = mpr.simulate_reception(h, ch, s, 0.1, 0.1, 77)
         b = mpr.simulate_reception(h, ch, s, 0.1, 0.1, 77)
-        assert np.array_equal(a.r, b.r)
+        assert np.array_equal(a, b)
 
 
 class TestDecorrelate:
@@ -136,6 +136,22 @@ class TestDecorrelate:
         res = mpr.decorrelate(h, np.ones(2, dtype=complex))
         assert not res.success
         assert res.estimates.shape == (2,)
+
+    def test_batched_rows_match_decorrelate(self):
+        # one batched detection over stacked trials gives each trial the
+        # same bits as decorrelate on that trial alone
+        rng = np.random.default_rng(4)
+        cn = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        ch = mpr.ChannelRealization(cn(50, 3), cn(50, 4, 3), cn(50, 4))
+        h = mpr.composite_matrix(ch)
+        s = mpr.QPSK[rng.integers(0, 4, (50, 3))]
+        r = mpr.simulate_reception(h, ch, s, 0.05, 0.05, rng)
+        estimates, cond = mpr.detect(h, r)
+        for i in range(50):
+            res = mpr.decorrelate(h[i], r[i])
+            assert np.array_equal(estimates[i], res.estimates)
+            assert cond[i] == res.condition_number
+            assert res.condition_number == pytest.approx(np.linalg.cond(h[i]), rel=1e-9)
 
     def test_monte_carlo_exact_recovery(self):
         rng = np.random.default_rng(0)
@@ -177,6 +193,26 @@ class TestSymbolErrorRate:
         a = mpr.symbol_error_rate(2, 2, 15.0, 5000, 9)
         b = mpr.symbol_error_rate(2, 2, 15.0, 5000, 9)
         assert a == b
+        # pinned values guard the random stream; the second call has K = M+1
+        # and spans three chunks
+        assert a == 0.0101
+        assert mpr.symbol_error_rate(9, 8, 20.0, 20_000, 3) == 0.05112222222222222
+
+    def test_ill_conditioned_trial_counts_all_symbols_wrong(self, monkeypatch):
+        # shrink one column of trial 0 so cond(H) ~ 1e12: noiseless decisions
+        # stay right, yet the decode rule flags each of its symbols
+        real = mpr.composite_matrix
+
+        def degenerate(ch):
+            h = real(ch)
+            h[0, :, 1] *= 1e-12
+            return h
+
+        monkeypatch.setattr(mpr, "composite_matrix", degenerate)
+        errors = mpr.symbol_errors(3, 2, math.inf, 20, np.random.default_rng(1))
+        assert errors.shape == (20, 3)
+        assert errors[0].all()
+        assert not errors[1:].any()
 
     def test_monotone_in_snr(self):
         sers = [mpr.symbol_error_rate(2, 1, snr, 100_000, 5)

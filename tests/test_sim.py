@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -97,11 +98,15 @@ class TestRun:
 
     @given(lam=st.floats(0.0, 2.0), m=st.integers(1, 20),
            eps=st.floats(0.05, 1.0), n=st.integers(1, 400),
-           seed=st.integers(0, 2**31))
+           seed=st.integers(0, 2**31),
+           snr_db=st.sampled_from([None, -10.0, 0.0, 10.0, 40.0]))
     @settings(max_examples=60, deadline=None)
-    def test_accounting_invariants(self, lam, m, eps, n, seed):
+    def test_accounting_invariants(self, lam, m, eps, n, seed, snr_db):
+        # snr_db None is the threshold rule; low SNRs make PHY decodes fail
+        rule = sim.THRESHOLD if snr_db is None else sim.PHY_COUPLED
         cfg = sim.SimConfig(A.SystemParams(lam, m, eps), sim.PoissonProcess(lam),
-                            n, seed=seed, warmup_sessions=10)
+                            n, seed=seed, success_rule=rule, snr_db=snr_db,
+                            warmup_sessions=10)
         rep = sim.run(cfg)
         n0, n1, ns, nu = rep.sessions_by_state
         assert n0 + n1 + ns + nu == n
@@ -109,6 +114,12 @@ class TestRun:
         assert rep.total_time == pytest.approx(
             eps * n0 + n1 + (m + 1) * (ns + nu), abs=1e-9)
         assert rep.outage_hat == nu / n
+        if rule == sim.PHY_COUPLED:
+            # decoding only turns decodable collisions into outages
+            thr = sim.run(dataclasses.replace(cfg, success_rule=sim.THRESHOLD))
+            t0, t1, ts, tu = thr.sessions_by_state
+            assert (n0, n1, ns + nu) == (t0, t1, ts + tu) and ns <= ts
+            assert rep.packets_arrived == thr.packets_arrived
 
     @pytest.mark.slow
     @pytest.mark.parametrize("lam", [0.4, 0.8, 1.2])
