@@ -69,7 +69,9 @@ class ExperimentSpec:
 
 
 def _as_kind(value, kind):
-    """``value`` as ``kind``; an int grid refuses values with a fractional part."""
+    """``value`` as ``kind``; an int refuses values with a fractional part."""
+    if kind is int and isinstance(value, int):
+        return int(value)  # exact past 2**53, where float() would round
     value = float(value)
     if kind is int and not value.is_integer():
         raise ValueError(f"values must be integers, got {value!r}")
@@ -131,19 +133,31 @@ def validate_spec(raw: dict) -> ExperimentSpec:
         else grid("lambda_grid", float, 0.0)
     m_grid = grid("m_grid", int, 1)
 
-    epsilon = float(raw.get("epsilon", analytic.DEFAULT_EPSILON))
+    def scalar(name, kind, default):
+        try:
+            return _as_kind(raw.get(name, default), kind)
+        except (ValueError, TypeError) as exc:
+            problems.append(f"{name}: {exc}")
+            return default
+
+    epsilon = scalar("epsilon", float, analytic.DEFAULT_EPSILON)
     if not (0 < epsilon <= 1):
         problems.append(f"epsilon: must be in (0, 1], got {epsilon}")
 
-    n_sessions = int(raw.get("n_sessions", 10**6))
+    n_sessions = scalar("n_sessions", int, 10**6)
     if mode in ("sim", "compare", "phy") and n_sessions < 1:
         problems.append(f"n_sessions: must be >= 1, got {n_sessions}")
 
-    seed = int(raw.get("seed", 0))
+    seed = scalar("seed", int, 0)
+    if seed < 0:
+        problems.append(f"seed: must be >= 0, got {seed}")
 
+    # +inf is the noiseless channel, so only NaN and -inf are refused
     snr_db = raw.get("snr_db")
     if snr_db is not None:
-        snr_db = float(snr_db)
+        snr_db = scalar("snr_db", float, None)
+        if snr_db is not None and not snr_db > -math.inf:
+            problems.append(f"snr_db: must be a number > -inf, got {snr_db}")
     elif mode == "phy":
         problems.append("snr_db: required for phy mode")
 

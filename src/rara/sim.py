@@ -9,6 +9,9 @@ packets is always decoded; the phy-coupled rule instead decodes it with
 delivered only if no symbol is in error.  A single transmission (K = 1) is
 always delivered under both rules: it occupies the direct link alone for
 one time unit, with no relay copies for the detector to work on.
+
+A session's length depends only on its contender count K, so K alone is a
+Markov chain; :func:`run` walks it in blocks of array draws, not per session.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ PHY_COUPLED = "phy"
 DEFAULT_WARMUP = 1000
 
 _BATCHES = 100
-_POOL = 1 << 14
 # Collisions per mpr.symbol_errors call under the phy-coupled rule: fixed, so
 # the PHY stream is reproducible; small, as each holds ~10 kB of arrays.
 _DECODE_BATCH = 128
@@ -81,8 +83,10 @@ class SimConfig:
             raise ValueError(f"need at least one session, got {self.n_sessions}")
         if self.success_rule not in (THRESHOLD, PHY_COUPLED):
             raise ValueError(f"unknown success rule {self.success_rule!r}")
-        if self.success_rule == PHY_COUPLED and self.snr_db is None:
-            raise ValueError("phy-coupled rule requires snr_db")
+        # +inf is the noiseless case; NaN and -inf give NaN observations
+        if self.success_rule == PHY_COUPLED and not (
+                self.snr_db is not None and self.snr_db > -math.inf):
+            raise ValueError(f"phy-coupled rule requires snr_db > -inf, got {self.snr_db}")
         if self.warmup_sessions < 0:
             raise ValueError("warmup_sessions must be >= 0")
 
@@ -103,9 +107,10 @@ class SimReport:
     seed: int
 
 
-def sample_arrivals(model, duration: float, rng: np.random.Generator, size=None):
-    """Number of devices becoming active over ``duration`` time units."""
-    if duration <= 0:
+def sample_arrivals(model, duration, rng: np.random.Generator, size=None):
+    """Number of devices becoming active over ``duration`` time units (a
+    scalar, or an array for one draw per entry)."""
+    if np.any(np.asarray(duration) <= 0):
         raise ValueError(f"duration must be > 0, got {duration}")
     if isinstance(model, PoissonProcess):
         return rng.poisson(model.lam * duration, size)
@@ -115,34 +120,35 @@ def sample_arrivals(model, duration: float, rng: np.random.Generator, size=None)
     raise TypeError(f"unknown arrival model {model!r}")
 
 
-class _ArrivalPools:
-    """Pre-drawn arrival counts per session duration, refilled on demand.
+def _walk(model, durations, n_sessions: int, rng: np.random.Generator) -> np.ndarray:
+    """Contender counts K of ``n_sessions`` consecutive sessions, the first
+    following a session of length 1.
 
-    One pool per duration keeps the inner session loop cheap while staying
-    deterministic for a fixed seed (consumption order is the session order).
+    Every block of isqrt(n_sessions) sessions is walked in lockstep from each
+    entry class (Idle, Single, Long), one draw per step over all of them; each
+    block then takes the walk starting in the class its predecessor ended in.
+    Those draws are independent of that choice, so this is the exact chain.
     """
-
-    def __init__(self, model, durations, rng):
-        self.model = model
-        self.durations = durations
-        self.rng = rng
-        self.pools = [np.empty(0, dtype=np.int64) for _ in durations]
-        self.pos = [0] * len(durations)
-
-    def draw(self, i: int) -> int:
-        if self.pos[i] >= len(self.pools[i]):
-            self.pools[i] = sample_arrivals(self.model, self.durations[i],
-                                            self.rng, size=_POOL)
-            self.pos[i] = 0
-        v = self.pools[i][self.pos[i]]
-        self.pos[i] += 1
-        return int(v)
+    size = math.isqrt(n_sessions)
+    n_blocks = -(-n_sessions // size)
+    durations = np.asarray(durations)
+    k = np.empty((size, n_blocks, 3), dtype=np.int64)
+    cls = np.broadcast_to(np.arange(3), (n_blocks, 3))
+    for step in range(size):
+        k[step] = sample_arrivals(model, durations[cls], rng)
+        cls = np.minimum(k[step], 2)
+    entry, exits = [1], cls.tolist()
+    for block in range(n_blocks - 1):
+        entry.append(exits[block][entry[-1]])
+    return k[:, np.arange(n_blocks), entry].T.ravel()[:n_sessions]
 
 
 def run(config: SimConfig) -> SimReport:
     """Simulate ``n_sessions`` counted sessions (after warm-up) and report
     empirical throughput, outage, and session-length estimates.
 
+    Warm-up and counted sessions are one chain walked by :func:`_walk`;
+    standard errors are batch means over the counted sessions.
     The arrival stream and the PHY randomness use separate generators derived
     from the seed, so threshold and phy-coupled runs with the same seed see
     identical arrival sequences.
@@ -153,16 +159,8 @@ def run(config: SimConfig) -> SimReport:
     arr_ss, phy_ss = np.random.SeedSequence(config.seed).spawn(2)
     arr_rng = np.random.default_rng(arr_ss)
     phy_rng = np.random.default_rng(phy_ss)
-    pools = _ArrivalPools(config.arrivals, params.durations[:3], arr_rng)
-
-    arrived = np.zeros(n, dtype=np.int64)
-    # a session's length, and so the next contender count, depends only on
-    # its own contender count K; initial contenders accumulate over one unit
-    k = pools.draw(1)
-    for t in range(-config.warmup_sessions, n):
-        if t >= 0:
-            arrived[t] = k
-        k = pools.draw(min(k, 2))
+    arrived = _walk(config.arrivals, params.durations[:3],
+                    config.warmup_sessions + n, arr_rng)[config.warmup_sessions:]
 
     # Idle, Single, Success (2 <= K <= M+1) or Unsuccess, by K alone
     states = np.minimum(arrived, 2).astype(np.uint8)

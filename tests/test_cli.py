@@ -60,6 +60,8 @@ class TestValidateSpec:
         assert spec.format == "csv"
         assert spec.n_sessions == 10**6
         assert spec.seed == 0
+        # int fields stay exact where a float would round
+        assert cli.validate_spec(self.base(seed=2**53 + 1)).seed == 2**53 + 1
 
     def test_empty_lambda_grid(self):
         with pytest.raises(cli.SpecValidationError) as exc:
@@ -215,7 +217,7 @@ class TestConfigAndErrors:
         assert float(row["lambda"]) == 0.8     # flag wins
         assert float(row["epsilon"]) == 0.2    # file value kept
 
-    def test_validation_exit_code(self, capsys):
+    def test_validation_exit_code(self, capsys, tmp_path):
         rc = cli.main(["theory", "--lambda", "", "--m", "10", "--out", "x.csv"])
         assert rc == 2
         assert "lambda_grid" in capsys.readouterr().err
@@ -231,6 +233,24 @@ class TestConfigAndErrors:
                                "m_grid": [2.5], "output_path": "x.csv"})
         fields = " ".join(exc.value.problems)
         assert "lambda_grid" in fields and "m_grid" in fields
+        # bad scalars are refused, not truncated or left to crash later
+        out = tmp_path / "x.csv"
+        base = {"lambda_grid": "0.8", "m_grid": "2", "n_sessions": 10,
+                "output_path": str(out)}
+        cfg = tmp_path / "cfg.json"
+        for field, value in [("n_sessions", 2.5), ("seed", 1.5), ("epsilon", "abc"),
+                             ("n_sessions", "many"), ("seed", -1)]:
+            cfg.write_text(json.dumps({**base, field: value}))
+            assert cli.main(["sim", "--config", str(cfg)]) == 2
+            assert field in capsys.readouterr().err
+        cfg.write_text(json.dumps(base))
+        assert cli.main(["sim", "--config", str(cfg), "--seed", "-1"]) == 2
+        assert "seed" in capsys.readouterr().err
+        for snr in ("nan", "-inf"):
+            rc = cli.main(["phy", "--m", "2", f"--snr-db={snr}", "--out", str(out)])
+            assert rc == 2
+            assert "snr_db" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_io_exit_code_no_partial_file(self, tmp_path):
         target = tmp_path / "missing" / "out.csv"

@@ -36,6 +36,9 @@ class TestSampleArrivals:
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
             sim.sample_arrivals(sim.PoissonProcess(0.8), 0.0, rng)
+        with pytest.raises(ValueError):
+            sim.sample_arrivals(sim.FinitePopulation(50, 0.01),
+                                np.array([[0.1, 1.0], [-2.0, 2.0]]), rng)
 
     def test_poisson_moments(self):
         rng = np.random.default_rng(1)
@@ -75,9 +78,28 @@ class TestRun:
         assert abs(rep.outage_hat - met.outage) < 3 * rep.stderr_outage
 
     def test_phy_rule_requires_snr(self):
-        with pytest.raises(ValueError):
-            sim.SimConfig(PARAMS_DEFAULT, sim.PoissonProcess(0.8), 100,
-                          success_rule=sim.PHY_COUPLED)
+        # NaN and -inf would make nearly every collision an outage
+        for snr_db in (None, math.nan, -math.inf):
+            with pytest.raises(ValueError):
+                sim.SimConfig(PARAMS_DEFAULT, sim.PoissonProcess(0.8), 100,
+                              success_rule=sim.PHY_COUPLED, snr_db=snr_db)
+
+    def test_block_chaining(self):
+        # runs of 100 sessions are cut into 10 blocks, so ~9% of the pooled
+        # one-step transitions cross a block boundary; each must follow the
+        # lumped (Idle, Single, Long) transition matrix
+        params = A.SystemParams(1.0, 1, 0.1)
+        rng = np.random.default_rng(5)
+        counts = np.zeros((3, 3))
+        for _ in range(2000):
+            cls = np.minimum(sim._walk(sim.PoissonProcess(1.0), params.durations[:3],
+                                       100, rng), 2)
+            np.add.at(counts, (cls[:-1], cls[1:]), 1)
+        p = A.transition_matrix(params)[:3]
+        p = np.column_stack([p[:, 0], p[:, 1], p[:, 2] + p[:, 3]])
+        visits = counts.sum(axis=1, keepdims=True)
+        z = (counts / visits - p) / np.sqrt(p * (1 - p) / visits)
+        assert np.max(np.abs(z)) < 5
 
     def test_phy_rule_matches_threshold_at_high_snr(self):
         common = dict(params=PARAMS_DEFAULT, arrivals=sim.PoissonProcess(0.8),
