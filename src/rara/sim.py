@@ -44,8 +44,8 @@ class PoissonProcess:
     lam: float
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError(f"arrival rate must be >= 0, got {self.lam}")
+        if not 0 <= self.lam < math.inf:
+            raise ValueError(f"arrival rate must be finite and >= 0, got {self.lam}")
 
 
 @dataclass(frozen=True)

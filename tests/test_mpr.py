@@ -146,11 +146,11 @@ class TestDecorrelate:
         h = mpr.composite_matrix(ch)
         s = mpr.QPSK[rng.integers(0, 4, (50, 3))]
         r = mpr.simulate_reception(h, ch, s, 0.05, 0.05, rng)
-        estimates, cond = mpr.detect(h, r)
+        estimates, ok = mpr.detect(h, r)
         for i in range(50):
             res = mpr.decorrelate(h[i], r[i])
             assert np.array_equal(estimates[i], res.estimates)
-            assert cond[i] == res.condition_number
+            assert ok[i] == res.success
             assert res.condition_number == pytest.approx(np.linalg.cond(h[i]), rel=1e-9)
 
     def test_monte_carlo_exact_recovery(self):
@@ -177,6 +177,36 @@ class TestDecorrelate:
             assert np.max(np.abs(res.estimates - sym)) < 1e-9
 
 
+class TestDetect:
+    def test_screen_matches_condition_threshold(self):
+        # cond(H) from about 1 to 1e15, across both the Gram-inverse screen
+        # and the decodability threshold: one column scaled by 10^-j, or one
+        # column within 10^-j of another, where the computed inverse of
+        # G = H^H H is garbage and its trace alone can look well conditioned
+        rng = np.random.default_rng(12)
+        cn = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        scaled = cn(104, 4, 3)
+        scaled[:, :, 1] *= 10.0 ** -np.repeat(np.arange(13), 8)[:, None]
+        close = cn(3000, 4, 3)
+        close[:, :, 1] = close[:, :, 0] \
+            + 10.0 ** -np.repeat(np.arange(15), 200)[:, None] * cn(3000, 4)
+        h = np.concatenate([scaled, close])
+        r = cn(len(h), 4)
+        # an exactly singular G makes inv fail for the whole batch
+        singular = h[:6].copy()
+        singular[0] = 1.0
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(singular[0].conj().T @ singular[0])
+        for hb, rb in ((singular, r[:6]), (h, r)):
+            estimates, ok = mpr.detect(hb, rb)
+            assert np.array_equal(ok, np.linalg.cond(hb) < mpr.CONDITION_THRESHOLD)
+            ref = (np.linalg.pinv(hb) @ rb[..., None])[..., 0]
+            err = np.linalg.norm(estimates - ref, axis=-1) / np.linalg.norm(ref, axis=-1)
+            assert np.all(err[ok] < 1e-9)
+        # the stacked batch holds trials on both sides of the threshold
+        assert 0 < np.count_nonzero(ok) < len(ok)
+
+
 class TestSymbolErrorRate:
     def test_zero_noise(self):
         assert mpr.symbol_error_rate(3, 4, math.inf, 1000, 1) == 0.0
@@ -188,6 +218,14 @@ class TestSymbolErrorRate:
     def test_rejects_no_trials(self):
         with pytest.raises(ValueError):
             mpr.symbol_error_rate(2, 1, 10.0, 0, 1)
+
+    def test_rejects_nan_and_minus_inf_snr(self):
+        # +inf is the noiseless case; these two would give NaN observations
+        for snr_db in (math.nan, -math.inf):
+            with pytest.raises(ValueError):
+                mpr.symbol_error_rate(2, 2, snr_db, 1000, 1)
+            with pytest.raises(ValueError):
+                mpr.symbol_errors(2, 2, snr_db, 10, np.random.default_rng(1))
 
     def test_determinism(self):
         a = mpr.symbol_error_rate(2, 2, 15.0, 5000, 9)

@@ -13,8 +13,10 @@ PARAMS_DEFAULT = A.SystemParams(0.8, 10, 0.1)
 
 class TestArrivalModels:
     def test_poisson_rejects_negative(self):
-        with pytest.raises(ValueError):
-            sim.PoissonProcess(-0.1)
+        # NaN and inf as well: they would fail only later, inside rng.poisson
+        for lam in (-0.1, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                sim.PoissonProcess(lam)
 
     def test_finite_population_validation(self):
         with pytest.raises(ValueError):
