@@ -7,6 +7,7 @@ from .analytic import (
     StationaryDistribution,
     SystemParams,
     asymptotic_throughput,
+    gaussian_approx,
     outage_approx,
     outage_exact,
     solve_chain,
@@ -16,7 +17,7 @@ from .analytic import (
     throughput_exact,
     transition_matrix,
 )
-from .sim import FinitePopulation, PoissonProcess, SimConfig, SimReport, run, sweep
+from .sim import FinitePopulation, PoissonProcess, SimConfig, SimReport, run
 
 __all__ = [
     "ChainSolution",
@@ -25,6 +26,7 @@ __all__ = [
     "StationaryDistribution",
     "SystemParams",
     "asymptotic_throughput",
+    "gaussian_approx",
     "outage_approx",
     "outage_exact",
     "solve_chain",
@@ -38,7 +40,6 @@ __all__ = [
     "SimConfig",
     "SimReport",
     "run",
-    "sweep",
 ]
 
 __version__ = "0.1.0"

@@ -4,12 +4,16 @@ A contention round (a "session") lasts epsilon time units when no device is
 active, 1 unit when a single device transmits, and M+1 units when two or more
 devices collide and the M relay nodes forward their observations one by one.
 Arrivals over a session are Poisson, so the session-state sequence forms a
-4-state Markov chain over {Idle, Single, Success, Unsuccess}.  This module
-evaluates the chain in closed form (state probabilities, stationary
-distribution, throughput, outage) together with the large-M Gaussian
-approximation and asymptotic limits.  :func:`solve_chain` evaluates whole
-(lambda, M, epsilon) grids at once; the single-point functions evaluate a
-batch of one through the same code.
+4-state Markov chain over {Idle, Single, Success, Unsuccess}.
+
+Two broadcast kernels cover a whole (lambda, M, epsilon) grid in one call:
+:func:`solve_chain` solves the chain exactly (stationary distribution,
+throughput, outage, both means), and :func:`gaussian_approx` evaluates the
+large-M Gaussian approximation of throughput and outage.  The single-point
+functions (``throughput_exact``, ``outage_exact``, ``throughput_approx``,
+...) evaluate a batch of one through the same code, so a grid point and a
+direct call give the same bits.  :func:`stationary_power_iteration` is the
+independent cross-check of the closed form.
 """
 
 from __future__ import annotations
@@ -72,9 +76,6 @@ class StationaryDistribution:
     pi: np.ndarray
     method: str = "closed_form"
 
-    def __getitem__(self, i):
-        return self.pi[i]
-
 
 @dataclass(frozen=True)
 class PerformanceMetrics:
@@ -97,24 +98,7 @@ class ChainSolution:
     mean_success_count: np.ndarray
 
 
-def _pi_vec(pi) -> np.ndarray:
-    if isinstance(pi, StationaryDistribution):
-        return pi.pi
-    return np.asarray(pi, dtype=float)
-
-
-def poisson_pmf(k: int, mean: float) -> float:
-    """P(X = k) for X ~ Poisson(mean), evaluated in log space."""
-    if k < 0:
-        raise ValueError(f"count must be >= 0, got {k}")
-    if mean < 0 or not math.isfinite(mean):
-        raise ValueError(f"mean must be finite and >= 0, got {mean}")
-    if mean == 0:
-        return 1.0 if k == 0 else 0.0
-    return math.exp(k * math.log(mean) - mean - math.lgamma(k + 1))
-
-
-def _grid(lam, m_relays, epsilon):
+def _grid(lam, m_relays, epsilon=DEFAULT_EPSILON):
     """Validate a (lambda, M, epsilon) grid and broadcast it to float arrays."""
     lam, m, eps = np.broadcast_arrays(
         *(np.asarray(v, dtype=float) for v in (lam, m_relays, epsilon)))
@@ -200,23 +184,6 @@ def _solve_one(params: SystemParams) -> ChainSolution:
     return _solve(*_batch_of_one(params))
 
 
-def _moments_of(params: SystemParams, pi):
-    lam, m, eps = _batch_of_one(params)
-    mu, _, _, _, _, pu = _outcomes(lam, m, _durations(m, eps))
-    t_bar, k_bar, outage = _moments(mu, m, eps, _pi_vec(pi)[None, :], pu)
-    return float(t_bar[0]), float(k_bar[0]), float(outage[0])
-
-
-def session_probs(params: SystemParams, duration: float) -> tuple[float, float, float, float]:
-    """(p0, p1, pS, pU): probabilities of the four session outcomes given the
-    number of arrivals accumulated over ``duration`` time units."""
-    if duration <= 0:
-        raise ValueError(f"duration must be > 0, got {duration}")
-    lam, m, _ = _batch_of_one(params)
-    _, p0, p1, _, ps, pu = _outcomes(lam, m, np.array([[duration]], dtype=float))
-    return tuple(float(p[0, 0]) for p in (p0, p1, ps, pu))
-
-
 def transition_matrix(params: SystemParams) -> np.ndarray:
     """4x4 row-stochastic matrix over (Idle, Single, Success, Unsuccess).
 
@@ -270,35 +237,17 @@ def stationary_closed_form(params: SystemParams) -> StationaryDistribution:
     return StationaryDistribution(_solve_one(params).pi[0], method=method)
 
 
-def occupancy(k: int, params: SystemParams, pi) -> float:
-    """Q(k): steady-state probability that a session sees k contenders."""
-    v = _pi_vec(pi)
-    return float(sum(poisson_pmf(k, params.lam * t) * v[i]
-                     for i, t in enumerate(params.durations)))
-
-
-def outage_exact(params: SystemParams, pi=None) -> float:
+def outage_exact(params: SystemParams) -> float:
     """Probability of a session with >= M+2 contenders (undecodable even with
     all M relay forwards), from the pdtrc tail after each state."""
-    if pi is None:
-        return float(_solve_one(params).outage[0])
-    return _moments_of(params, pi)[2]
-
-
-def mean_session_length(params: SystemParams, pi) -> float:
-    return _moments_of(params, pi)[0]
-
-
-def mean_success_count(params: SystemParams, pi) -> float:
-    """Mean successfully delivered packets per session: sum over states of
-    pi_i * lambda*T_i * P(X <= M), X ~ Poisson(lambda*T_i), which equals the
-    first moment sum_{k=1}^{M+1} k Q(k)."""
-    return _moments_of(params, pi)[1]
+    return float(_solve_one(params).outage[0])
 
 
 def throughput_exact(params: SystemParams) -> PerformanceMetrics:
     """Exact throughput eta = mean packets per session / mean session length,
-    bundled with outage and both means."""
+    bundled with outage and both means.  The mean success count is
+    sum_i pi_i * lambda*T_i * P(X <= M), X ~ Poisson(lambda*T_i), which
+    equals the first moment sum_{k=1}^{M+1} k Q(k) of the occupancy Q."""
     sol = _solve_one(params)
     return PerformanceMetrics(
         throughput=float(sol.throughput[0]),
@@ -308,36 +257,38 @@ def throughput_exact(params: SystemParams) -> PerformanceMetrics:
     )
 
 
-def q_function(x: float) -> float:
-    """Gaussian upper-tail probability, via the complementary error function."""
-    return 0.5 * special.erfc(x / math.sqrt(2.0))
+def gaussian_approx(lam, m_relays) -> tuple[np.ndarray, np.ndarray]:
+    """Large-M Gaussian approximation (throughput, outage) over a broadcast
+    (lambda, M) grid: outage q = Q(psi) with psi = (1 - lambda) sqrt(M /
+    lambda), the normalized deviation of the decodable-count threshold, and
+    throughput lambda (1 - q).  At lambda = 0, psi = +inf and both are 0."""
+    lam, m, _ = _grid(lam, m_relays)
+    return _gaussian(lam, m)
 
 
-def psi(lam: float, m_relays: int) -> float:
-    """(1 - lambda) * sqrt(M / lambda): the normalized deviation of the
-    decodable-count threshold under the Gaussian approximation."""
-    if lam <= 0:
-        raise ValueError(f"traffic intensity must be > 0, got {lam}")
-    return (1.0 - lam) * math.sqrt(m_relays / lam)
+def _gaussian(lam, m):
+    # at lambda = 0, M / lambda = inf makes psi = +inf, so q and lam (1 - q) are 0
+    with np.errstate(divide="ignore"):
+        psi = (1.0 - lam) * np.sqrt(m / lam)
+    q = 0.5 * special.erfc(psi / math.sqrt(2.0))
+    return lam * (1.0 - q), q
 
 
 def throughput_approx(params: SystemParams) -> float:
-    """Large-M Gaussian approximation of the throughput."""
-    return params.lam * (1.0 - q_function(psi(params.lam, params.m_relays)))
+    """Large-M Gaussian approximation of the throughput at one point."""
+    return float(_gaussian(*_batch_of_one(params)[:2])[0][0])
 
 
 def outage_approx(params: SystemParams) -> float:
-    """Large-M Gaussian approximation of the outage probability."""
-    return q_function(psi(params.lam, params.m_relays))
+    """Large-M Gaussian approximation of the outage probability at one point."""
+    return float(_gaussian(*_batch_of_one(params)[:2])[1][0])
 
 
-def asymptotic_throughput(lam: float) -> float:
+def asymptotic_throughput(lam):
     """M -> infinity throughput limit: lambda below unit load, 1/2 at exactly
-    unit load, 0 above (pointwise definition; discontinuous at lambda = 1)."""
-    if lam < 0:
+    unit load, 0 above (pointwise definition; discontinuous at lambda = 1).
+    Broadcasts over an array of intensities."""
+    lam = np.asarray(lam, dtype=float)
+    if not np.all(lam >= 0):
         raise ValueError(f"traffic intensity must be >= 0, got {lam}")
-    if lam < 1.0:
-        return lam
-    if lam == 1.0:
-        return 0.5
-    return 0.0
+    return np.select([lam < 1.0, lam == 1.0], [lam, 0.5], 0.0)[()]

@@ -177,30 +177,26 @@ def validate_spec(raw: dict) -> ExperimentSpec:
 
 
 def _theory_rows(grid: list[tuple[float, int]], epsilon: float) -> list[dict]:
-    """One row per (lambda, M) of ``grid``, all solved in one kernel call."""
-    lams, ms = zip(*grid)
-    sol = analytic.solve_chain(np.array(lams), np.array(ms), epsilon)
+    """One row per (lambda, M) of ``grid``, every column from one broadcast
+    call over the whole grid."""
+    lams, ms = (np.array(v) for v in zip(*grid))
+    sol = analytic.solve_chain(lams, ms, epsilon)
+    thr_approx, out_approx = analytic.gaussian_approx(lams, ms)
+    limit = analytic.asymptotic_throughput(lams)
     rows = []
-    for (lam, m), thr, out, pi, t_bar in zip(
-            grid, sol.throughput.tolist(), sol.outage.tolist(), sol.pi.tolist(),
+    for (lam, m), thr, thr_a, out, out_a, lim, pi, t_bar in zip(
+            grid, sol.throughput.tolist(), thr_approx.tolist(), sol.outage.tolist(),
+            out_approx.tolist(), limit.tolist(), sol.pi.tolist(),
             sol.mean_session_length.tolist()):
-        if lam > 0:
-            params = analytic.SystemParams(lam, m, epsilon)
-            thr_approx = analytic.throughput_approx(params)
-            out_approx = analytic.outage_approx(params)
-        else:
-            # lambda -> 0 limits of the Gaussian approximation
-            thr_approx = 0.0
-            out_approx = 0.0
         rows.append({
             "lambda": lam,
             "m": m,
             "epsilon": epsilon,
             "throughput_exact": thr,
-            "throughput_approx": thr_approx,
+            "throughput_approx": thr_a,
             "outage_exact": out,
-            "outage_approx": out_approx,
-            "asymptotic_throughput": analytic.asymptotic_throughput(lam),
+            "outage_approx": out_a,
+            "asymptotic_throughput": lim,
             "pi_0": pi[0],
             "pi_1": pi[1],
             "pi_S": pi[2],

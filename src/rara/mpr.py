@@ -150,7 +150,7 @@ def detect(h: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a batch holding an exactly singular G) falls back to one SVD per matrix:
     pinv(H) r without singular values below 1e-15 of the largest, so a
     rank-deficient H still yields finite estimates, and the flag from
-    cond(H) itself.  Refuses K > M+1.
+    cond(H) itself.  Refuses K > M+1 and a non-finite H.
     """
     n_obs, k = h.shape[-2:]
     if k > n_obs:
@@ -177,7 +177,11 @@ def detect(h: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                     < _SCREEN ** 2 * (1.0 - _frobenius(residual)))
     rest = ~ok
     if rest.any():
-        u, sv, vh = np.linalg.svd(h[rest], full_matrices=False)
+        h_rest = h[rest]
+        # a NaN or inf in H always fails the screen, so it is caught here
+        if not np.all(np.isfinite(h_rest)):
+            raise ValueError("channel matrix h must be finite")
+        u, sv, vh = np.linalg.svd(h_rest, full_matrices=False)
         inv = np.divide(1.0, sv, out=np.zeros_like(sv), where=sv > 1e-15 * sv[..., :1])
         coeffs = inv * np.einsum('...ok,...o->...k', u.conj(), r[rest])
         estimates[rest] = np.einsum('...kj,...k->...j', vh.conj(), coeffs)
@@ -189,8 +193,9 @@ def detect(h: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def decorrelate(h: np.ndarray, r: np.ndarray) -> DetectionResult:
     """Zero-forcing detection of one collision (:func:`detect` with no batch
-    axes), decided by nearest alphabet point.  Refuses K > M+1; a numerically
-    rank-deficient H is flagged as unsuccessful but estimates are returned.
+    axes), decided by nearest alphabet point.  Refuses K > M+1 and a
+    non-finite H; a numerically rank-deficient H is flagged as unsuccessful
+    but estimates are returned.
     """
     estimates, ok = detect(h, r)
     return DetectionResult(

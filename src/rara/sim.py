@@ -17,7 +17,7 @@ Markov chain; :func:`run` walks it in blocks of array draws, not per session.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,6 +35,12 @@ _BATCHES = 100
 # Collisions per mpr.symbol_errors call under the phy-coupled rule: fixed, so
 # the PHY stream is reproducible; small, as each holds ~10 kB of arrays.
 _DECODE_BATCH = 128
+
+
+def _check_count(name: str, value, minimum: int) -> None:
+    """Refuse a fractional or too small count, which numpy would truncate."""
+    if not float(value).is_integer() or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -57,8 +63,7 @@ class FinitePopulation:
     p_active: float
 
     def __post_init__(self):
-        if self.n_devices < 1:
-            raise ValueError(f"need at least one device, got {self.n_devices}")
+        _check_count("device count", self.n_devices, 1)
         if not (0 <= self.p_active <= 1):
             raise ValueError(f"activation probability must be in [0, 1], got {self.p_active}")
 
@@ -79,16 +84,14 @@ class SimConfig:
     warmup_sessions: int = DEFAULT_WARMUP
 
     def __post_init__(self):
-        if self.n_sessions < 1:
-            raise ValueError(f"need at least one session, got {self.n_sessions}")
+        _check_count("session count", self.n_sessions, 1)
+        _check_count("warmup_sessions", self.warmup_sessions, 0)
         if self.success_rule not in (THRESHOLD, PHY_COUPLED):
             raise ValueError(f"unknown success rule {self.success_rule!r}")
         # +inf is the noiseless case; NaN and -inf give NaN observations
         if self.success_rule == PHY_COUPLED and not (
                 self.snr_db is not None and self.snr_db > -math.inf):
             raise ValueError(f"phy-coupled rule requires snr_db > -inf, got {self.snr_db}")
-        if self.warmup_sessions < 0:
-            raise ValueError("warmup_sessions must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -107,16 +110,16 @@ class SimReport:
     seed: int
 
 
-def sample_arrivals(model, duration, rng: np.random.Generator, size=None):
+def sample_arrivals(model, duration, rng: np.random.Generator):
     """Number of devices becoming active over ``duration`` time units (a
     scalar, or an array for one draw per entry)."""
     if np.any(np.asarray(duration) <= 0):
         raise ValueError(f"duration must be > 0, got {duration}")
     if isinstance(model, PoissonProcess):
-        return rng.poisson(model.lam * duration, size)
+        return rng.poisson(model.lam * duration)
     if isinstance(model, FinitePopulation):
         p = 1.0 - (1.0 - model.p_active) ** duration
-        return rng.binomial(model.n_devices, p, size)
+        return rng.binomial(model.n_devices, p)
     raise TypeError(f"unknown arrival model {model!r}")
 
 
@@ -220,14 +223,3 @@ def derive_seeds(base_seed: int, count: int) -> list[int]:
     """Independent per-run seeds for a sweep, deterministic in (base, index)."""
     return [int(ss.generate_state(1)[0]) for ss in
             np.random.SeedSequence(base_seed).spawn(count)]
-
-
-def sweep(configs: list[SimConfig]) -> list[SimReport]:
-    """Run each configuration independently; results follow input order.
-
-    Callers building a grid should give each config its own seed, e.g. via
-    :func:`derive_seeds`, so the runs stay independent and reproducible.
-    """
-    if not configs:
-        raise ValueError("need at least one configuration")
-    return [run(c) for c in configs]

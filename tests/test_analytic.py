@@ -39,58 +39,42 @@ class TestSystemParams:
 
 
 class TestPoissonPmf:
+    # the test-file oracle behind the occupancy and first-moment checks
     def test_zero_rate(self):
-        assert A.poisson_pmf(0, 0.0) == 1.0
-        assert A.poisson_pmf(3, 0.0) == 0.0
+        assert _pmf(0, 0.0) == 1.0
+        assert _pmf(3, 0.0) == 0.0
 
     def test_known_values(self):
-        assert A.poisson_pmf(0, 0.8) == pytest.approx(math.exp(-0.8), abs=1e-6)
-        assert A.poisson_pmf(1, 0.8) == pytest.approx(0.8 * math.exp(-0.8), abs=1e-6)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            A.poisson_pmf(-1, 0.8)
-        with pytest.raises(ValueError):
-            A.poisson_pmf(0, -0.5)
+        assert _pmf(0, 0.8) == pytest.approx(math.exp(-0.8), abs=1e-6)
+        assert _pmf(1, 0.8) == pytest.approx(0.8 * math.exp(-0.8), abs=1e-6)
 
     @given(st.integers(0, 300), st.floats(0.0, 1000.0))
     def test_in_unit_interval(self, k, mean):
-        assert 0.0 <= A.poisson_pmf(k, mean) <= 1.0
+        assert 0.0 <= _pmf(k, mean) <= 1.0
 
     def test_large_mean_no_overflow(self):
         # log-space evaluation keeps huge k/mean finite
-        v = A.poisson_pmf(5000, 5000.0)
+        v = _pmf(5000, 5000.0)
         assert 0.0 < v < 1.0
 
 
 class TestSessionProbs:
+    # row i of the transition matrix holds (p0, p1, pS, pU) of the session
+    # after one of length durations[i]; TestTransitionMatrix checks the rows
+    # sum to one and the zero-rate case
     def test_example_point(self):
-        p0, p1, _, _ = A.session_probs(PARAMS_DEFAULT, 0.1)
+        p0, p1, _, _ = A.transition_matrix(PARAMS_DEFAULT)[0]
         assert p0 == pytest.approx(0.923116, abs=1e-6)
         assert p1 == pytest.approx(0.073849, abs=1e-6)
 
-    def test_no_arrivals(self):
-        probs = A.session_probs(A.SystemParams(0.0, 10, 0.1), 1.0)
-        assert probs == (1.0, 0.0, 0.0, 0.0)
-
     def test_tail_against_brute_force(self):
         # oracle: pU = 1 - partial pmf sum, with 200 terms covering the mass
-        _, _, _, pu = A.session_probs(PARAMS_DEFAULT, 11.0)
+        pu = A.transition_matrix(PARAMS_DEFAULT)[2, 3]
         mu = 0.8 * 11.0
-        brute = 1.0 - sum(A.poisson_pmf(k, mu) for k in range(0, 12))
+        brute = 1.0 - sum(_pmf(k, mu) for k in range(0, 12))
         assert pu == pytest.approx(brute, abs=1e-12)
-        total = sum(A.poisson_pmf(k, mu) for k in range(200))
+        total = sum(_pmf(k, mu) for k in range(200))
         assert total == pytest.approx(1.0, abs=1e-12)
-
-    def test_rejects_nonpositive_duration(self):
-        with pytest.raises(ValueError):
-            A.session_probs(PARAMS_DEFAULT, 0.0)
-
-    @given(params_st, st.floats(0.01, 60.0))
-    def test_sums_to_one(self, params, duration):
-        probs = A.session_probs(params, duration)
-        assert all(0.0 <= p <= 1.0 for p in probs)
-        assert sum(probs) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestTransitionMatrix:
@@ -205,21 +189,21 @@ class TestSolveChain:
 class TestOccupancy:
     def test_zero_rate(self):
         params = A.SystemParams(0.0, 10, 0.1)
-        pi = A.stationary_closed_form(params)
-        assert A.occupancy(0, params, pi) == 1.0
-        assert A.occupancy(3, params, pi) == 0.0
+        pi = A.stationary_closed_form(params).pi
+        assert _occupancy(0, params, pi) == 1.0
+        assert _occupancy(3, params, pi) == 0.0
 
     def test_normalization(self):
-        pi = A.stationary_closed_form(PARAMS_DEFAULT)
-        total = sum(A.occupancy(k, PARAMS_DEFAULT, pi) for k in range(500))
+        pi = A.stationary_closed_form(PARAMS_DEFAULT).pi
+        total = sum(_occupancy(k, PARAMS_DEFAULT, pi) for k in range(500))
         assert total == pytest.approx(1.0, abs=1e-10)
 
     def test_term_by_term(self):
-        pi = A.stationary_closed_form(PARAMS_DEFAULT)
-        expected = (A.session_probs(PARAMS_DEFAULT, 0.1)[0] * pi.pi[0]
-                    + A.session_probs(PARAMS_DEFAULT, 1.0)[0] * pi.pi[1]
-                    + A.session_probs(PARAMS_DEFAULT, 11.0)[0] * (pi.pi[2] + pi.pi[3]))
-        assert A.occupancy(0, PARAMS_DEFAULT, pi) == pytest.approx(expected, abs=1e-14)
+        # Q(0) is the chance of no arrival after a session of each length,
+        # which is column 0 of the transition matrix
+        pi = A.stationary_closed_form(PARAMS_DEFAULT).pi
+        expected = pi @ A.transition_matrix(PARAMS_DEFAULT)[:, 0]
+        assert _occupancy(0, PARAMS_DEFAULT, pi) == pytest.approx(expected, abs=1e-14)
 
 
 class TestOutageAndThroughput:
@@ -232,26 +216,31 @@ class TestOutageAndThroughput:
         assert A.outage_exact(A.SystemParams(1.5, 400, 0.1)) == pytest.approx(1.0, abs=1e-3)
 
     def test_mean_session_length_cases(self):
-        params = PARAMS_DEFAULT
-        assert A.mean_session_length(params, [1, 0, 0, 0]) == pytest.approx(0.1)
-        assert A.mean_session_length(params, [0, 0, 1, 0]) == pytest.approx(11.0)
+        # absorbed in Idle, every session lasts epsilon
+        met = A.throughput_exact(A.SystemParams(0.0, 10, 0.1))
+        assert met.mean_session_length == pytest.approx(0.1)
+        # pi-weighted lengths (epsilon, 1, M+1, M+1)
+        pi = A.stationary_closed_form(PARAMS_DEFAULT).pi
+        met = A.throughput_exact(PARAMS_DEFAULT)
+        assert met.mean_session_length == pytest.approx(
+            0.1 * pi[0] + pi[1] + 11.0 * (pi[2] + pi[3]), rel=1e-14)
 
     def test_mean_session_length_bound(self):
-        pi = A.stationary_closed_form(PARAMS_DEFAULT)
-        t_bar = A.mean_session_length(PARAMS_DEFAULT, pi)
-        pi_bar = pi.pi[2] + pi.pi[3]
+        pi = A.stationary_closed_form(PARAMS_DEFAULT).pi
+        t_bar = A.throughput_exact(PARAMS_DEFAULT).mean_session_length
+        pi_bar = pi[2] + pi[3]
         assert t_bar <= 1 + 10 * pi_bar + 0.1 + 1e-12
 
     def test_mean_success_zero_rate(self):
-        params = A.SystemParams(0.0, 10, 0.1)
-        pi = A.stationary_closed_form(params)
-        assert A.mean_success_count(params, pi) == 0.0
+        met = A.throughput_exact(A.SystemParams(0.0, 10, 0.1))
+        assert met.mean_success_count == 0.0
 
     def test_mean_success_moment_oracle(self):
         # independent oracle: first moment over the occupancy distribution
-        pi = A.stationary_closed_form(PARAMS_DEFAULT)
-        oracle = sum(k * A.occupancy(k, PARAMS_DEFAULT, pi) for k in range(1, 12))
-        assert A.mean_success_count(PARAMS_DEFAULT, pi) == pytest.approx(oracle, abs=1e-10)
+        pi = A.stationary_closed_form(PARAMS_DEFAULT).pi
+        oracle = sum(k * _occupancy(k, PARAMS_DEFAULT, pi) for k in range(1, 12))
+        assert A.throughput_exact(PARAMS_DEFAULT).mean_success_count == \
+            pytest.approx(oracle, abs=1e-10)
 
     def test_metrics_consistency(self):
         met = A.throughput_exact(PARAMS_DEFAULT)
@@ -274,9 +263,9 @@ class TestOutageAndThroughput:
     def test_dual_form_identity(self, params):
         # closed form sum_i pi_i lambda T_i P(X <= M) against the truncated
         # first moment sum_{k=1}^{M+1} k Q(k)
-        pi = A.stationary_closed_form(params)
-        value = A.mean_success_count(params, pi)
-        moment = math.fsum(k * A.occupancy(k, params, pi)
+        pi = A.stationary_closed_form(params).pi
+        value = A.throughput_exact(params).mean_success_count
+        moment = math.fsum(k * _occupancy(k, params, pi)
                            for k in range(1, params.m_relays + 2))
         assert value >= 0
         assert value == pytest.approx(moment, rel=1e-10)
@@ -294,6 +283,18 @@ class TestOutageAndThroughput:
 
 def _log_pmf(k, mu):
     return k * math.log(mu) - mu - math.lgamma(k + 1)
+
+
+def _pmf(k, mu):
+    """P(X = k) for X ~ Poisson(mu), evaluated in log space."""
+    if mu == 0:
+        return 1.0 if k == 0 else 0.0
+    return math.exp(_log_pmf(k, mu))
+
+
+def _occupancy(k, params, pi):
+    """Q(k): steady-state probability that a session sees k contenders."""
+    return math.fsum(_pmf(k, params.lam * t) * w for t, w in zip(params.durations, pi))
 
 
 def _upper_tail(n, mu):
@@ -321,30 +322,54 @@ def _outage_oracle(lam, m, eps):
 
 
 class TestQFunction:
+    # outage_approx is the Gaussian tail Q(psi), psi = (1 - lambda) sqrt(M / lambda)
     def test_symmetry(self):
-        assert A.q_function(0.0) == 0.5
-        for x in (0.3, 1.7, 4.0):
-            assert A.q_function(x) + A.q_function(-x) == pytest.approx(1.0, abs=1e-14)
+        assert A.outage_approx(A.SystemParams(1.0, 17, 0.1)) == 0.5
+        # (0.8, 10) and (1.25, 10) give psi = +sqrt(0.5) and -sqrt(0.5)
+        below = A.outage_approx(A.SystemParams(0.8, 10, 0.1))
+        above = A.outage_approx(A.SystemParams(1.25, 10, 0.1))
+        assert below + above == pytest.approx(1.0, abs=1e-14)
 
     def test_deep_tail(self):
-        assert A.q_function(8.0) < 1e-15
+        # psi = 0.9 sqrt(80) ~ 8.05
+        assert A.outage_approx(A.SystemParams(0.1, 8, 0.1)) < 1e-15
 
     def test_against_quadrature(self):
         # oracle: direct numerical integration of the Gaussian tail
-        for x in (0.707107, 0.5, 1.0, 2.5):
+        for lam, m in ((0.8, 10), (0.5, 3), (0.9, 50), (1.25, 10)):
+            psi = (1.0 - lam) * math.sqrt(m / lam)
             oracle, _ = quad(lambda t: math.exp(-t * t / 2) / math.sqrt(2 * math.pi),
-                             x, 40.0)
-            assert A.q_function(x) == pytest.approx(oracle, rel=1e-10)
-        assert A.q_function(0.707107) == pytest.approx(0.239750, abs=1e-5)
+                             psi, 40.0)
+            assert A.outage_approx(A.SystemParams(lam, m, 0.1)) == \
+                pytest.approx(oracle, rel=1e-10)
+        assert A.outage_approx(PARAMS_DEFAULT) == pytest.approx(0.239750, abs=1e-5)
 
 
 class TestAsymptotics:
     def test_psi_values(self):
-        assert A.psi(1.0, 17) == 0.0
-        assert A.psi(0.8, 10) == pytest.approx(0.707107, abs=1e-6)
-        assert A.psi(1.25, 5) == pytest.approx(-0.5, abs=1e-12)
-        with pytest.raises(ValueError):
-            A.psi(0.0, 5)
+        # psi = 0, +sqrt(0.5) and -0.5 give Q(psi) = 0.5, 0.239750, 0.691462
+        assert A.outage_approx(A.SystemParams(1.0, 17, 0.1)) == 0.5
+        assert A.outage_approx(PARAMS_DEFAULT) == pytest.approx(0.239750, abs=1e-6)
+        assert A.outage_approx(A.SystemParams(1.25, 5, 0.1)) == \
+            pytest.approx(0.691462, abs=1e-6)
+        # lambda -> 0 limits: psi = +inf, so both approximations are 0
+        zero = A.SystemParams(0.0, 5, 0.1)
+        assert A.outage_approx(zero) == 0.0
+        assert A.throughput_approx(zero) == 0.0
+
+    def test_gaussian_approx_grid(self):
+        lams = np.array([[0.0], [0.3], [1.0], [1.7]])
+        ms = np.array([1, 7, 400])
+        thr, out = A.gaussian_approx(lams, ms)
+        assert thr.shape == out.shape == (4, 3)
+        for a, lam in enumerate(lams[:, 0]):
+            for b, m in enumerate(ms):
+                params = A.SystemParams(float(lam), int(m), 0.1)
+                assert thr[a, b] == A.throughput_approx(params)
+                assert out[a, b] == A.outage_approx(params)
+        for lam, m in ((-0.1, 5), (np.nan, 5), (0.8, 2.5), (0.8, 0)):
+            with pytest.raises(ValueError):
+                A.gaussian_approx([0.4, lam], m)
 
     def test_throughput_approx(self):
         assert A.throughput_approx(A.SystemParams(1.0, 7, 0.1)) == pytest.approx(0.5)
@@ -370,8 +395,10 @@ class TestAsymptotics:
         assert A.asymptotic_throughput(0.8) == 0.8
         assert A.asymptotic_throughput(1.0) == 0.5
         assert A.asymptotic_throughput(1.5) == 0.0
-        with pytest.raises(ValueError):
-            A.asymptotic_throughput(-0.1)
+        assert A.asymptotic_throughput([0.0, 1.0, 2.0]).tolist() == [0.0, 0.5, 0.0]
+        for bad in (-0.1, math.nan):
+            with pytest.raises(ValueError):
+                A.asymptotic_throughput(bad)
 
     def test_asymptotic_consistency(self):
         # |exact - limit| shrinks along M (up to floating-point floor)

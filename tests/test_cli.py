@@ -1,6 +1,7 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from rara import cli
@@ -141,6 +142,14 @@ class TestTheoryMode:
             assert float(row["mean_session_length"]) == met.mean_session_length
             assert [float(row[c]) for c in ("pi_0", "pi_1", "pi_S", "pi_U")] \
                 == pi.tolist()
+            assert float(row["throughput_approx"]) == A.throughput_approx(params)
+            assert float(row["outage_approx"]) == A.outage_approx(params)
+            assert float(row["asymptotic_throughput"]) \
+                == A.asymptotic_throughput(params.lam)
+        # the lambda = 0 limit needs no division warning
+        with np.errstate(all="raise"):
+            zero = A.SystemParams(0.0, 10, 0.1)
+            assert A.throughput_approx(zero) == A.outage_approx(zero) == 0.0
 
 
 class TestSimAndCompareModes:

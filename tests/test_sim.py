@@ -23,6 +23,9 @@ class TestArrivalModels:
             sim.FinitePopulation(0, 0.1)
         with pytest.raises(ValueError):
             sim.FinitePopulation(10, 1.5)
+        # numpy's binomial would silently draw with n = 2
+        with pytest.raises(ValueError):
+            sim.FinitePopulation(2.5, 0.1)
 
     def test_from_traffic_matches_rate(self):
         fp = sim.FinitePopulation.from_traffic(0.8, 400)
@@ -44,14 +47,14 @@ class TestSampleArrivals:
 
     def test_poisson_moments(self):
         rng = np.random.default_rng(1)
-        draws = sim.sample_arrivals(sim.PoissonProcess(0.8), 1.0, rng, size=10**6)
+        draws = sim.sample_arrivals(sim.PoissonProcess(0.8), np.ones(10**6), rng)
         # CLT: 3 sigma on the sample mean of Poisson(0.8)
         assert abs(draws.mean() - 0.8) < 3 * math.sqrt(0.8 / 10**6)
 
     def test_binomial_moments(self):
         model = sim.FinitePopulation(400, 0.002)
         rng = np.random.default_rng(2)
-        draws = sim.sample_arrivals(model, 1.0, rng, size=10**6)
+        draws = sim.sample_arrivals(model, np.ones(10**6), rng)
         mean = 400 * 0.002
         assert abs(draws.mean() - mean) < 3 * math.sqrt(mean / 10**6)
         # slightly sub-Poisson: var = n p (1-p)
@@ -85,6 +88,13 @@ class TestRun:
             with pytest.raises(ValueError):
                 sim.SimConfig(PARAMS_DEFAULT, sim.PoissonProcess(0.8), 100,
                               success_rule=sim.PHY_COUPLED, snr_db=snr_db)
+
+    def test_rejects_fractional_counts(self):
+        # both would otherwise fail later, inside math.isqrt
+        for n, warmup in ((2.5, 10), (100, 10.5), (math.nan, 10)):
+            with pytest.raises(ValueError):
+                sim.SimConfig(PARAMS_DEFAULT, sim.PoissonProcess(0.8), n,
+                              warmup_sessions=warmup)
 
     def test_block_chaining(self):
         # runs of 100 sessions are cut into 10 blocks, so ~9% of the pooled
@@ -162,14 +172,6 @@ class TestRun:
 
 
 class TestSweep:
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            sim.sweep([])
-
-    def test_single_matches_run(self):
-        cfg = sim.SimConfig(PARAMS_DEFAULT, sim.PoissonProcess(0.8), 5000, seed=5)
-        assert sim.sweep([cfg]) == [sim.run(cfg)]
-
     def test_derive_seeds_deterministic(self):
         assert sim.derive_seeds(0, 5) == sim.derive_seeds(0, 5)
         assert len(set(sim.derive_seeds(0, 100))) == 100
@@ -179,8 +181,7 @@ class TestSweep:
         configs = [sim.SimConfig(A.SystemParams(0.8, m, 0.1),
                                  sim.PoissonProcess(0.8), 200_000, seed=s)
                    for m, s in zip(range(1, 31), seeds)]
-        reports = sim.sweep(configs)
-        eta = [r.throughput_hat for r in reports]
+        eta = [sim.run(c).throughput_hat for c in configs]
         assert eta[0] > eta[4]       # M=1 above M=5
         assert eta[29] > eta[4]      # M=30 above M=5
 
@@ -190,5 +191,5 @@ class TestSweep:
         configs = [sim.SimConfig(A.SystemParams(lam, 10, 0.1),
                                  sim.PoissonProcess(lam), 200_000, seed=s)
                    for lam, s in zip(lams, seeds)]
-        eta = [r.throughput_hat for r in sim.sweep(configs)]
+        eta = [sim.run(c).throughput_hat for c in configs]
         assert 0.6 <= lams[int(np.argmax(eta))] <= 0.8
