@@ -58,14 +58,25 @@ class TestPoissonPmf:
         assert 0.0 < v < 1.0
 
 
+def _session_probs(params, duration):
+    # (p0, p1, pS, pU) after a session of length d at rate lam: the outcomes
+    # depend on lam * d only, so they are the Single row (length 1) at rate
+    # lam * d
+    scaled = A.SystemParams(params.lam * duration, params.m_relays, params.epsilon)
+    return tuple(float(p) for p in A.transition_matrix(scaled)[A.SessionKind.SINGLE])
+
+
 class TestSessionProbs:
     # row i of the transition matrix holds (p0, p1, pS, pU) of the session
-    # after one of length durations[i]; TestTransitionMatrix checks the rows
-    # sum to one and the zero-rate case
+    # after one of length durations[i]
     def test_example_point(self):
         p0, p1, _, _ = A.transition_matrix(PARAMS_DEFAULT)[0]
         assert p0 == pytest.approx(0.923116, abs=1e-6)
         assert p1 == pytest.approx(0.073849, abs=1e-6)
+
+    def test_no_arrivals(self):
+        probs = _session_probs(A.SystemParams(0.0, 10, 0.1), 1.0)
+        assert probs == (1.0, 0.0, 0.0, 0.0)
 
     def test_tail_against_brute_force(self):
         # oracle: pU = 1 - partial pmf sum, with 200 terms covering the mass
@@ -75,6 +86,15 @@ class TestSessionProbs:
         assert pu == pytest.approx(brute, abs=1e-12)
         total = sum(_pmf(k, mu) for k in range(200))
         assert total == pytest.approx(1.0, abs=1e-12)
+
+    @given(params_st, st.floats(0.01, 60.0))
+    def test_sums_to_one(self, params, duration):
+        probs = _session_probs(params, duration)
+        assert all(0.0 <= p <= 1.0 for p in probs)
+        assert sum(probs) == pytest.approx(1.0, abs=1e-12)
+        p = A.transition_matrix(params)
+        for kind, d in enumerate(params.durations):
+            assert _session_probs(params, d) == pytest.approx(tuple(p[kind]), abs=1e-12)
 
 
 class TestTransitionMatrix:
