@@ -20,12 +20,19 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
 
 DEFAULT_EPSILON = 0.1
+
+
+def check_count(name: str, value, minimum: int) -> None:
+    """Refuse a count that is not an integer (a float, even 2.0) or is below ``minimum``."""
+    if not (isinstance(value, numbers.Integral) and value >= minimum):
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 class ConvergenceError(RuntimeError):

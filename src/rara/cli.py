@@ -92,13 +92,11 @@ def parse_grid(text: str, kind=float) -> tuple:
     if step <= 0:
         raise ValueError(f"range step must be > 0, got {step}")
     # counted before any value is built, so a huge range costs no memory
-    if (stop - start) / step + 1e-9 >= MAX_RANGE_VALUES:
+    count = math.floor((stop - start) / step + 1e-9) + 1
+    if count > MAX_RANGE_VALUES:
         raise ValueError(f"range {text!r} has more than {MAX_RANGE_VALUES} values")
-    vals = []
     # each value from its index, so float error does not accumulate
-    while (v := start + len(vals) * step) <= stop + step * 1e-9:
-        vals.append(v)
-    return tuple(_as_kind(round(v, 12), kind) for v in vals)
+    return tuple(_as_kind(round(start + i * step, 12), kind) for i in range(count))
 
 
 def validate_spec(raw: dict) -> ExperimentSpec:

@@ -11,10 +11,10 @@ Channels are i.i.d. circularly-symmetric complex Gaussian with unit variance
 one packet.  Relays forward with unit gain.
 
 Channels, reception and detection broadcast over leading batch axes, one
-collision per index; :func:`symbol_errors` alone defines a decoded collision.
-Detection solves the normal equations through the inverse Gram matrix and
-keeps an SVD only for the rare trial whose condition bound nears the
-decodability threshold (see :func:`detect`).
+collision per index; :func:`symbol_errors` alone draws trials (in batches
+of bounded size) and defines a decoded collision.  Detection solves the
+normal equations through the inverse Gram matrix and keeps an SVD only for
+the rare trial whose condition bound nears the decodability threshold.
 """
 
 from __future__ import annotations
@@ -23,6 +23,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .analytic import check_count
 
 # Composite matrices with a condition number above this are treated as
 # effectively singular and the detection is not declared successful.
@@ -35,9 +37,9 @@ QPSK = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / math.sqrt(2.0)
 # then has relative error <~ eps * b^2 = 2e-8 before one refinement step.
 _SCREEN = 1e4
 
-# Trials per vectorized batch inside symbol_error_rate.  Fixed so that the
-# random stream, and hence the estimate, does not depend on trial count split.
-_SER_CHUNK = 8192
+# Trials per batch of symbol_errors up to K(M+1) = 81, the (9, 8) size this
+# was tuned on; fewer beyond, so a batch holds at most _BATCH * 81 entries.
+_BATCH = 8192
 
 
 class UnderdeterminedError(ValueError):
@@ -69,7 +71,6 @@ class DetectionResult:
     estimates: np.ndarray  # raw decorrelator outputs
     decided: np.ndarray    # nearest QPSK symbols
     success: bool
-    condition_number: float
 
 
 def _cn(rng: np.random.Generator, shape) -> np.ndarray:
@@ -86,8 +87,6 @@ def _cn(rng: np.random.Generator, shape) -> np.ndarray:
 
 def _draw_channels(rng: np.random.Generator, k_devices: int, m_relays: int,
                    batch: tuple = ()) -> ChannelRealization:
-    if k_devices < 1 or m_relays < 1:
-        raise ValueError("need at least one device and one relay")
     return ChannelRealization(
         direct=_cn(rng, (*batch, k_devices)),
         device_relay=_cn(rng, (*batch, m_relays, k_devices)),
@@ -97,6 +96,8 @@ def _draw_channels(rng: np.random.Generator, k_devices: int, m_relays: int,
 
 def generate_channels(k_devices: int, m_relays: int, rng_seed: int) -> ChannelRealization:
     """Draw all gains i.i.d. CN(0, 1); deterministic for a given seed."""
+    check_count("device count", k_devices, 1)
+    check_count("relay count", m_relays, 1)
     return _draw_channels(np.random.default_rng(rng_seed), k_devices, m_relays)
 
 
@@ -107,18 +108,19 @@ def composite_matrix(ch: ChannelRealization) -> np.ndarray:
                            ch.relay_bs[..., None] * ch.device_relay], axis=-2)
 
 
-def simulate_reception(h: np.ndarray, ch: ChannelRealization, symbols: np.ndarray,
-                       noise_var: float, relay_noise_var: float,
+def simulate_reception(ch: ChannelRealization, symbols: np.ndarray, noise_var: float,
                        rng_seed: int | np.random.Generator) -> np.ndarray:
-    """Noisy collision rounds r = H s + stacked noise, broadcast over leading
-    batch axes, where the relay rows carry the forwarded relay noise g_m * w_m
-    on top of background n.  ``rng_seed`` is a seed or a Generator."""
-    if noise_var < 0 or relay_noise_var < 0:
-        raise ValueError("noise variances must be >= 0")
+    """Noisy collision rounds over leading batch axes: direct row h_0 s + n_0,
+    relay rows g_m (h_m s + w_m) + n_m, with n drawn before w and both of
+    variance ``noise_var``.  ``rng_seed`` is a seed or a Generator."""
+    if not 0 <= noise_var < math.inf:
+        raise ValueError(f"noise_var must be finite and >= 0, got {noise_var}")
     rng = np.random.default_rng(rng_seed)
-    r = np.einsum('...ok,...k->...o', h, symbols)
-    r += _cn(rng, r.shape) * math.sqrt(noise_var)
-    r[..., 1:] += ch.relay_bs * (_cn(rng, ch.relay_bs.shape) * math.sqrt(relay_noise_var))
+    heard = np.einsum('...mk,...k->...m', ch.device_relay, symbols)
+    r = _cn(rng, (*heard.shape[:-1], heard.shape[-1] + 1)) * math.sqrt(noise_var)
+    r[..., 0] += np.einsum('...k,...k->...', ch.direct, symbols)
+    heard += _cn(rng, heard.shape) * math.sqrt(noise_var)
+    r[..., 1:] += ch.relay_bs * heard
     return r
 
 
@@ -202,7 +204,6 @@ def decorrelate(h: np.ndarray, r: np.ndarray) -> DetectionResult:
         estimates=estimates,
         decided=nearest_qpsk(estimates),
         success=bool(ok),
-        condition_number=float(np.linalg.cond(h)),
     )
 
 
@@ -213,29 +214,33 @@ def symbol_errors(k_devices: int, m_relays: int, snr_db: float, trials: int,
 
     A symbol is wrong if its hard decision is wrong or its trial's composite
     matrix has cond >= CONDITION_THRESHOLD; a collision decodes iff none of
-    its flags is set.  SNR is per received symbol relative to the
-    unit-variance gains; relay and BS noise share the same variance.  An
-    ``snr_db`` of +inf is noiseless; NaN and -inf are refused.
+    its flags is set.  Trials are drawn in batches of 8192, fewer when
+    K(M+1) > 81, so a batch holds at most 8192 * 81 matrix entries.  SNR is
+    per received symbol relative to the unit-variance gains, for relay and
+    BS noise alike; +inf is noiseless, NaN and -inf are refused.
     """
+    for name, count in (("device count", k_devices), ("relay count", m_relays),
+                        ("trials", trials)):
+        check_count(name, count, 1)
     if not snr_db > -math.inf:
         raise ValueError(f"snr_db must be a number > -inf, got {snr_db}")
-    ch = _draw_channels(rng, k_devices, m_relays, (trials,))
-    h = composite_matrix(ch)
-    symbols = QPSK[rng.integers(0, 4, (trials, k_devices))]
     noise_var = 10.0 ** (-snr_db / 10.0)
-    r = simulate_reception(h, ch, symbols, noise_var, noise_var, rng)
-    estimates, ok = detect(h, r)
-    return (nearest_qpsk(estimates) != symbols) | ~ok[:, None]
+    size = max(1, _BATCH * 81 // max(81, k_devices * (m_relays + 1)))
+    errors = np.empty((trials, k_devices), dtype=bool)
+    for start in range(0, trials, size):
+        n = min(size, trials - start)
+        ch = _draw_channels(rng, k_devices, m_relays, (n,))
+        h = composite_matrix(ch)
+        symbols = QPSK[rng.integers(0, 4, (n, k_devices))]
+        estimates, ok = detect(h, simulate_reception(ch, symbols, noise_var, rng))
+        errors[start:start + n] = (nearest_qpsk(estimates) != symbols) | ~ok[:, None]
+    return errors
 
 
 def symbol_error_rate(k_devices: int, m_relays: int, snr_db: float,
                       trials: int, rng_seed: int) -> float:
     """Monte-Carlo symbol error rate: the mean of :func:`symbol_errors` over
-    ``trials`` trials, drawn in fixed chunks."""
-    if trials < 1:
-        raise ValueError(f"need at least one trial, got {trials}")
+    ``trials`` trials."""
     rng = np.random.default_rng(rng_seed)
-    errors = sum(int(np.count_nonzero(symbol_errors(
-        k_devices, m_relays, snr_db, min(_SER_CHUNK, trials - done), rng)))
-        for done in range(0, trials, _SER_CHUNK))
-    return errors / (trials * k_devices)
+    errors = symbol_errors(k_devices, m_relays, snr_db, trials, rng)
+    return int(np.count_nonzero(errors)) / (trials * k_devices)

@@ -5,10 +5,10 @@ cannot transmit while relays are forwarding).  A session with no contenders
 lasts epsilon, with one contender lasts 1, and with two or more lasts M+1
 unit times.  Under the threshold success rule a collision of K <= M+1
 packets is always decoded; the phy-coupled rule instead decodes it with
-:func:`rara.mpr.symbol_errors` at a configured SNR and counts it as
-delivered only if no symbol is in error.  A single transmission (K = 1) is
-always delivered under both rules: it occupies the direct link alone for
-one time unit, with no relay copies for the detector to work on.
+:func:`rara.mpr.symbol_errors` at a configured SNR, one call per K, and
+counts it as delivered only if no symbol is in error.  A single
+transmission (K = 1) is always delivered under both rules: it occupies the
+direct link alone for one time unit, with no relay copies to detect over.
 
 A session's length depends only on its contender count K, so K alone is a
 Markov chain; :func:`run` walks it in blocks of array draws, not per session.
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mpr
-from .analytic import SystemParams
+from .analytic import SystemParams, check_count
 
 THRESHOLD = "threshold"
 PHY_COUPLED = "phy"
@@ -32,15 +32,6 @@ PHY_COUPLED = "phy"
 DEFAULT_WARMUP = 1000
 
 _BATCHES = 100
-# Collisions per mpr.symbol_errors call under the phy-coupled rule: fixed, so
-# the PHY stream is reproducible; small, as each holds ~10 kB of arrays.
-_DECODE_BATCH = 128
-
-
-def _check_count(name: str, value, minimum: int) -> None:
-    """Refuse a fractional or too small count, which numpy would truncate."""
-    if not float(value).is_integer() or value < minimum:
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -63,7 +54,7 @@ class FinitePopulation:
     p_active: float
 
     def __post_init__(self):
-        _check_count("device count", self.n_devices, 1)
+        check_count("device count", self.n_devices, 1)
         if not (0 <= self.p_active <= 1):
             raise ValueError(f"activation probability must be in [0, 1], got {self.p_active}")
 
@@ -84,8 +75,9 @@ class SimConfig:
     warmup_sessions: int = DEFAULT_WARMUP
 
     def __post_init__(self):
-        _check_count("session count", self.n_sessions, 1)
-        _check_count("warmup_sessions", self.warmup_sessions, 0)
+        check_count("session count", self.n_sessions, 1)
+        check_count("warmup_sessions", self.warmup_sessions, 0)
+        check_count("seed", self.seed, 0)
         if self.success_rule not in (THRESHOLD, PHY_COUPLED):
             raise ValueError(f"unknown success rule {self.success_rule!r}")
         # +inf is the noiseless case; NaN and -inf give NaN observations
@@ -169,14 +161,12 @@ def run(config: SimConfig) -> SimReport:
     states = np.minimum(arrived, 2).astype(np.uint8)
     states[arrived > m + 1] = 3
     if config.success_rule == PHY_COUPLED:
-        # decode the collisions in fixed-size batches per K; failures are outages
+        # decode the collisions of each K in one call; failures are outages
         collisions = np.flatnonzero(states == 2)
         for k in np.unique(arrived[collisions]).tolist():
             of_k = collisions[arrived[collisions] == k]
-            for start in range(0, len(of_k), _DECODE_BATCH):
-                batch = of_k[start:start + _DECODE_BATCH]
-                errors = mpr.symbol_errors(k, m, config.snr_db, len(batch), phy_rng)
-                states[batch[errors.any(axis=1)]] = 3
+            errors = mpr.symbol_errors(k, m, config.snr_db, len(of_k), phy_rng)
+            states[of_k[errors.any(axis=1)]] = 3
     delivered = np.where(states == 3, 0, arrived)
 
     counts = np.bincount(states, minlength=4)

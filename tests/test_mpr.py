@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,10 @@ class TestGenerateChannels:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             mpr.generate_channels(0, 1, 0)
+        # numpy would fail on a float shape with a TypeError
+        for k, m in ((2.5, 2), (2, 2.5), (2.0, 2)):
+            with pytest.raises(ValueError, match="count"):
+                mpr.generate_channels(k, m, 0)
 
     def test_unit_mean_power(self):
         # law of large numbers on |h|^2 over many seeds
@@ -78,15 +83,14 @@ class TestSimulateReception:
             device_relay=np.ones((2, 1), dtype=complex),
             relay_bs=np.ones(2, dtype=complex),
         )
-        h = mpr.composite_matrix(ch)
-        r = mpr.simulate_reception(h, ch, np.array([1.0 + 0j]), 0.0, 0.0, 3)
+        r = mpr.simulate_reception(ch, np.array([1.0 + 0j]), 0.0, 3)
         assert np.allclose(r, np.ones(3))
 
     def test_noiseless_equals_h_s(self):
         ch = mpr.generate_channels(3, 4, 11)
         h = mpr.composite_matrix(ch)
         s = mpr.QPSK[np.array([0, 1, 2])]
-        r = mpr.simulate_reception(h, ch, s, 0.0, 0.0, 5)
+        r = mpr.simulate_reception(ch, s, 0.0, 5)
         assert np.allclose(r, h @ s, atol=1e-14)
 
     def test_noise_covariance(self):
@@ -95,7 +99,7 @@ class TestSimulateReception:
         h = mpr.composite_matrix(ch)
         s = mpr.QPSK[np.array([0, 1])]
         diffs = np.array([
-            mpr.simulate_reception(h, ch, s, 0.01, 0.01, 1000 + t) - h @ s
+            mpr.simulate_reception(ch, s, 0.01, 1000 + t) - h @ s
             for t in range(10_000)])
         emp = np.mean(np.abs(diffs) ** 2, axis=0)
         theo = 0.01 * np.concatenate([[1.0], 1.0 + np.abs(ch.relay_bs) ** 2])
@@ -103,11 +107,17 @@ class TestSimulateReception:
 
     def test_seed_determinism(self):
         ch = mpr.generate_channels(2, 2, 1)
-        h = mpr.composite_matrix(ch)
         s = mpr.QPSK[np.array([1, 3])]
-        a = mpr.simulate_reception(h, ch, s, 0.1, 0.1, 77)
-        b = mpr.simulate_reception(h, ch, s, 0.1, 0.1, 77)
+        a = mpr.simulate_reception(ch, s, 0.1, 77)
+        b = mpr.simulate_reception(ch, s, 0.1, 77)
         assert np.array_equal(a, b)
+
+    def test_rejects_bad_noise(self):
+        # NaN passes a `< 0` check, and NaN or inf give NaN observations
+        ch = mpr.generate_channels(2, 2, 1)
+        for noise_var in (-0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match="noise_var"):
+                mpr.simulate_reception(ch, mpr.QPSK[np.array([1, 3])], noise_var, 77)
 
 
 class TestDecorrelate:
@@ -143,13 +153,12 @@ class TestDecorrelate:
         ch = mpr.ChannelRealization(cn(50, 3), cn(50, 4, 3), cn(50, 4))
         h = mpr.composite_matrix(ch)
         s = mpr.QPSK[rng.integers(0, 4, (50, 3))]
-        r = mpr.simulate_reception(h, ch, s, 0.05, 0.05, rng)
+        r = mpr.simulate_reception(ch, s, 0.05, rng)
         estimates, ok = mpr.detect(h, r)
         for i in range(50):
             res = mpr.decorrelate(h[i], r[i])
             assert np.array_equal(estimates[i], res.estimates)
             assert ok[i] == res.success
-            assert res.condition_number == pytest.approx(np.linalg.cond(h[i]), rel=1e-9)
 
     def test_monte_carlo_exact_recovery(self):
         rng = np.random.default_rng(0)
@@ -229,6 +238,25 @@ class TestSymbolErrorRate:
     def test_rejects_no_trials(self):
         with pytest.raises(ValueError):
             mpr.symbol_error_rate(2, 1, 10.0, 0, 1)
+        with pytest.raises(ValueError, match="trials"):
+            mpr.symbol_errors(2, 2, 10.0, 0, np.random.default_rng(1))
+
+    def test_rejects_fractional_counts(self):
+        for k, m, trials in ((2, 2, 2.5), (2.5, 2, 10), (2, 1.5, 10)):
+            with pytest.raises(ValueError, match="trials|count"):
+                mpr.symbol_error_rate(k, m, 10.0, trials, 1)
+
+    def test_batch_memory_is_bounded(self):
+        # K(M+1) = 289 cuts the 8192 trials into batches of 2296, so the
+        # arrays in flight stay near those of 8192 trials at (9, 8); one
+        # batch of all 8192 trials would peak near 200 MB
+        tracemalloc.start()
+        try:
+            mpr.symbol_errors(17, 16, 20.0, 8192, np.random.default_rng(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100e6
 
     def test_rejects_nan_and_minus_inf_snr(self):
         # +inf is the noiseless case; these two would give NaN observations

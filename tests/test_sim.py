@@ -95,6 +95,10 @@ class TestRun:
             with pytest.raises(ValueError):
                 sim.SimConfig(PARAMS_DEFAULT, sim.PoissonProcess(0.8), n,
                               warmup_sessions=warmup)
+        # numpy's SeedSequence would refuse these only inside run
+        for seed in (1.5, -1):
+            with pytest.raises(ValueError, match="seed"):
+                sim.SimConfig(PARAMS_DEFAULT, sim.PoissonProcess(0.8), 100, seed=seed)
 
     def test_block_chaining(self):
         # runs of 100 sessions are cut into 10 blocks, so ~9% of the pooled
