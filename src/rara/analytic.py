@@ -294,8 +294,7 @@ def outage_approx(params: SystemParams) -> float:
 def asymptotic_throughput(lam):
     """M -> infinity throughput limit: lambda below unit load, 1/2 at exactly
     unit load, 0 above (pointwise definition; discontinuous at lambda = 1).
-    Broadcasts over an array of intensities."""
-    lam = np.asarray(lam, dtype=float)
-    if not np.all(lam >= 0):
-        raise ValueError(f"traffic intensity must be >= 0, got {lam}")
+    Broadcasts over an array of intensities; refuses one that is negative,
+    NaN or infinite, like every other entry point."""
+    lam = _grid(lam, 1)[0]
     return np.select([lam < 1.0, lam == 1.0], [lam, 0.5], 0.0)[()]

@@ -2,8 +2,10 @@
 comparisons, and PHY detector error rates, written as CSV or JSON tables.
 
 Subcommands: ``theory | sim | compare | phy``.  Grids are given as comma
-lists (``0.4,0.8``) or inclusive ranges (``start:stop:step``).  A flat JSON
-config file can supply any flag; command-line flags take precedence.
+lists (``0.4,0.8``) or inclusive ranges (``start:stop:step``).  A config
+file is one JSON object keyed by :class:`ExperimentSpec` field names, and
+flags take precedence.  Unknown keys, a file that is not an object, and an
+``snr_db`` whose noise variance is not finite are validation errors.
 
 Exit codes: 0 success, 2 validation error, 3 I/O error.
 """
@@ -18,7 +20,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -101,17 +103,16 @@ def parse_grid(text: str, kind=float) -> tuple:
 
 def validate_spec(raw: dict) -> ExperimentSpec:
     """Fill defaults and check every field, collecting all failures."""
-    problems: list[str] = []
+    keys = [f.name for f in fields(ExperimentSpec)]
+    problems = [f"{key}: unknown key; valid keys are {', '.join(keys)}"
+                for key in raw if key not in keys]
 
     mode = raw.get("mode")
     if mode not in MODES:
         problems.append(f"mode: must be one of {'/'.join(MODES)}, got {mode!r}")
 
     def grid(name, kind, minimum):
-        value = raw.get(name)
-        if value in (None, "", (), []):
-            problems.append(f"{name}: grid must be non-empty")
-            return ()
+        value = raw.get(name) or ""
         try:
             vals = parse_grid(value, kind) if isinstance(value, str) \
                 else tuple(_as_kind(v, kind) for v in value)
@@ -150,12 +151,13 @@ def validate_spec(raw: dict) -> ExperimentSpec:
     if seed < 0:
         problems.append(f"seed: must be >= 0, got {seed}")
 
-    # +inf is the noiseless channel, so only NaN and -inf are refused
     snr_db = raw.get("snr_db")
     if snr_db is not None:
-        snr_db = scalar("snr_db", float, None)
-        if snr_db is not None and not snr_db > -math.inf:
-            problems.append(f"snr_db: must be a number > -inf, got {snr_db}")
+        try:
+            snr_db = _as_kind(snr_db, float)
+            mpr.noise_variance(snr_db)
+        except (ValueError, TypeError) as exc:
+            problems.append(f"snr_db: {exc}")
     elif mode == "phy":
         problems.append("snr_db: required for phy mode")
 
@@ -180,85 +182,45 @@ def _theory_rows(grid: list[tuple[float, int]], epsilon: float) -> list[dict]:
     lams, ms = (np.array(v) for v in zip(*grid))
     sol = analytic.solve_chain(lams, ms, epsilon)
     thr_approx, out_approx = analytic.gaussian_approx(lams, ms)
-    limit = analytic.asymptotic_throughput(lams)
-    rows = []
-    for (lam, m), thr, thr_a, out, out_a, lim, pi, t_bar in zip(
-            grid, sol.throughput.tolist(), thr_approx.tolist(), sol.outage.tolist(),
-            out_approx.tolist(), limit.tolist(), sol.pi.tolist(),
-            sol.mean_session_length.tolist()):
-        rows.append({
-            "lambda": lam,
-            "m": m,
-            "epsilon": epsilon,
-            "throughput_exact": thr,
-            "throughput_approx": thr_a,
-            "outage_exact": out,
-            "outage_approx": out_a,
-            "asymptotic_throughput": lim,
-            "pi_0": pi[0],
-            "pi_1": pi[1],
-            "pi_S": pi[2],
-            "pi_U": pi[3],
-            "mean_session_length": t_bar,
-            "u_discontinuity": int(lam == 1.0),
-        })
-    return rows
+    columns = (lams, ms, np.full(lams.shape, epsilon),
+               sol.throughput, thr_approx, sol.outage, out_approx,
+               analytic.asymptotic_throughput(lams), *sol.pi.T,
+               sol.mean_session_length, (lams == 1.0).astype(int))
+    return [dict(zip(THEORY_COLUMNS, values))
+            for values in zip(*(c.tolist() for c in columns))]
 
 
 def build_rows(spec: ExperimentSpec) -> tuple[list[str], list[dict]]:
-    """Evaluate the experiment grid; rows follow grid order (lambda outer)."""
+    """Evaluate the experiment grid; rows follow grid order (lambda outer).
+    Every cell is a Python scalar."""
     if spec.mode == "phy":
         grid = [(k, m) for m in spec.m_grid for k in range(1, m + 2)]
         rows = []
         for (k, m), row_seed in zip(grid, sim.derive_seeds(spec.seed, len(grid))):
             ser = mpr.symbol_error_rate(k, m, spec.snr_db, spec.n_sessions, row_seed)
-            rows.append({"k": k, "m": m, "snr_db": spec.snr_db, "ser": ser,
-                         "trials": spec.n_sessions, "seed": row_seed})
+            rows.append(dict(zip(PHY_COLUMNS, (k, m, spec.snr_db, ser,
+                                               spec.n_sessions, row_seed))))
         return PHY_COLUMNS, rows
 
     grid = [(lam, m) for lam in spec.lambda_grid for m in spec.m_grid]
     rows = _theory_rows(grid, spec.epsilon)
-    columns = list(THEORY_COLUMNS)
-
-    if spec.mode in ("sim", "compare"):
-        columns += SIM_COLUMNS
-        seeds = sim.derive_seeds(spec.seed, len(grid))
-        for row, (lam, m), run_seed in zip(rows, grid, seeds):
-            cfg = sim.SimConfig(
-                params=analytic.SystemParams(lam, m, spec.epsilon),
-                arrivals=sim.PoissonProcess(lam),
-                n_sessions=spec.n_sessions,
-                seed=run_seed,
-            )
-            rep = sim.run(cfg)
-            row.update({
-                "throughput_hat": rep.throughput_hat,
-                "stderr": rep.stderr_throughput,
-                "outage_hat": rep.outage_hat,
-                "sessions": spec.n_sessions,
-                "seed": run_seed,
-            })
-
-    if spec.mode == "compare":
-        columns += ERROR_COLUMNS
-        for row in rows:
-            row["abs_err_throughput"] = abs(row["throughput_hat"] - row["throughput_exact"])
-            row["abs_err_outage"] = abs(row["outage_hat"] - row["outage_exact"])
-
-    return columns, rows
-
-
-def _norm_cell(value):
-    # numpy scalars come out of the numeric layers; strip them down
-    if isinstance(value, float):
-        return float(value)
-    if isinstance(value, int):
-        return int(value)
-    return value
+    if spec.mode == "theory":
+        return THEORY_COLUMNS, rows
+    extra = SIM_COLUMNS + (ERROR_COLUMNS if spec.mode == "compare" else [])
+    for row, (lam, m), run_seed in zip(rows, grid, sim.derive_seeds(spec.seed, len(grid))):
+        rep = sim.run(sim.SimConfig(analytic.SystemParams(lam, m, spec.epsilon),
+                                    sim.PoissonProcess(lam), spec.n_sessions, run_seed))
+        # sim mode keeps the first len(SIM_COLUMNS) values
+        row.update(zip(extra, (
+            rep.throughput_hat, rep.stderr_throughput, rep.outage_hat,
+            spec.n_sessions, run_seed,
+            abs(rep.throughput_hat - row["throughput_exact"]),
+            abs(rep.outage_hat - row["outage_exact"]))))
+    return THEORY_COLUMNS + extra, rows
 
 
 def render(columns: list[str], rows: list[dict], fmt: str) -> str:
-    rows = [{c: _norm_cell(row[c]) for c in columns} for row in rows]
+    """CSV or JSON text of ``rows``, whose keys run in ``columns`` order."""
     if fmt == "json":
         return json.dumps({"columns": columns, "rows": rows}, indent=2) + "\n"
     buf = io.StringIO()
@@ -284,17 +246,6 @@ def write_output(text: str, path: str) -> None:
         raise
 
 
-def run_experiment(spec: ExperimentSpec) -> int:
-    columns, rows = build_rows(spec)
-    text = render(columns, rows, spec.format)
-    try:
-        write_output(text, spec.output_path)
-    except OSError as exc:
-        print(f"error: cannot write {spec.output_path}: {exc}", file=sys.stderr)
-        return EXIT_IO
-    return EXIT_OK
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rara",
@@ -315,7 +266,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", dest="output_path", default=None)
         p.add_argument("--format", choices=("csv", "json"), default=None)
         p.add_argument("--config", default=None,
-                       help="flat JSON file with any of the above keys")
+                       help="JSON object keyed by the spec field names "
+                            "(lambda_grid, n_sessions, snr_db, ...)")
     return parser
 
 
@@ -325,26 +277,32 @@ def main(argv=None) -> int:
     if args.config:
         try:
             with open(args.config) as fh:
-                raw.update(json.load(fh))
+                raw = json.load(fh)
         except OSError as exc:
             print(f"error: cannot read config {args.config}: {exc}", file=sys.stderr)
             return EXIT_IO
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON or bad UTF-8
             print(f"error: bad config {args.config}: {exc}", file=sys.stderr)
             return EXIT_VALIDATION
-    raw["mode"] = args.mode
-    for key in ("lambda_grid", "m_grid", "epsilon", "n_sessions",
-                "seed", "snr_db", "output_path", "format"):
-        value = getattr(args, key)
-        if value is not None:
-            raw[key] = value
+        if not isinstance(raw, dict):
+            print(f"error: bad config {args.config}: not a JSON object", file=sys.stderr)
+            return EXIT_VALIDATION
+    # flag dests are ExperimentSpec field names; an unset flag is None
+    raw.update((key, value) for key, value in vars(args).items()
+               if key != "config" and value is not None)
     try:
         spec = validate_spec(raw)
     except SpecValidationError as exc:
         for problem in exc.problems:
             print(f"error: {problem}", file=sys.stderr)
         return EXIT_VALIDATION
-    return run_experiment(spec)
+    text = render(*build_rows(spec), spec.format)
+    try:
+        write_output(text, spec.output_path)
+    except OSError as exc:
+        print(f"error: cannot write {spec.output_path}: {exc}", file=sys.stderr)
+        return EXIT_IO
+    return EXIT_OK
 
 
 if __name__ == "__main__":

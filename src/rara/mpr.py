@@ -207,6 +207,20 @@ def decorrelate(h: np.ndarray, r: np.ndarray) -> DetectionResult:
     )
 
 
+def noise_variance(snr_db: float) -> float:
+    """Noise variance 10^(-snr_db/10) at an SNR in dB, relative to the
+    unit-variance gains; +inf is the noiseless channel.  Refuses NaN and any
+    SNR whose variance is infinite: -inf and anything below about -3082 dB."""
+    try:
+        variance = math.pow(10.0, -snr_db / 10.0)
+    except OverflowError:
+        variance = math.inf
+    if not variance < math.inf:
+        raise ValueError(f"noise variance 10**(-snr_db/10) must be finite, "
+                         f"got snr_db={snr_db}")
+    return variance
+
+
 def symbol_errors(k_devices: int, m_relays: int, snr_db: float, trials: int,
                   rng: np.random.Generator) -> np.ndarray:
     """Per-symbol error flags, shape (trials, K), of the decorrelator over
@@ -216,15 +230,13 @@ def symbol_errors(k_devices: int, m_relays: int, snr_db: float, trials: int,
     matrix has cond >= CONDITION_THRESHOLD; a collision decodes iff none of
     its flags is set.  Trials are drawn in batches of 8192, fewer when
     K(M+1) > 81, so a batch holds at most 8192 * 81 matrix entries.  SNR is
-    per received symbol relative to the unit-variance gains, for relay and
-    BS noise alike; +inf is noiseless, NaN and -inf are refused.
+    per received symbol, for relay and BS noise alike, with the domain of
+    :func:`noise_variance`.
     """
     for name, count in (("device count", k_devices), ("relay count", m_relays),
                         ("trials", trials)):
         check_count(name, count, 1)
-    if not snr_db > -math.inf:
-        raise ValueError(f"snr_db must be a number > -inf, got {snr_db}")
-    noise_var = 10.0 ** (-snr_db / 10.0)
+    noise_var = noise_variance(snr_db)
     size = max(1, _BATCH * 81 // max(81, k_devices * (m_relays + 1)))
     errors = np.empty((trials, k_devices), dtype=bool)
     for start in range(0, trials, size):

@@ -80,10 +80,10 @@ class SimConfig:
         check_count("seed", self.seed, 0)
         if self.success_rule not in (THRESHOLD, PHY_COUPLED):
             raise ValueError(f"unknown success rule {self.success_rule!r}")
-        # +inf is the noiseless case; NaN and -inf give NaN observations
-        if self.success_rule == PHY_COUPLED and not (
-                self.snr_db is not None and self.snr_db > -math.inf):
-            raise ValueError(f"phy-coupled rule requires snr_db > -inf, got {self.snr_db}")
+        if self.success_rule == PHY_COUPLED:
+            if self.snr_db is None:
+                raise ValueError("phy-coupled rule requires snr_db")
+            mpr.noise_variance(self.snr_db)  # raises outside the SNR domain
 
 
 @dataclass(frozen=True)

@@ -416,7 +416,7 @@ class TestAsymptotics:
         assert A.asymptotic_throughput(1.0) == 0.5
         assert A.asymptotic_throughput(1.5) == 0.0
         assert A.asymptotic_throughput([0.0, 1.0, 2.0]).tolist() == [0.0, 0.5, 0.0]
-        for bad in (-0.1, math.nan):
+        for bad in (-0.1, math.nan, math.inf):
             with pytest.raises(ValueError):
                 A.asymptotic_throughput(bad)
 

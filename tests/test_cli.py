@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -214,6 +217,26 @@ class TestJsonFormat:
         assert payload["rows"][0]["m"] == 10
 
 
+class TestHeaders:
+    def test_every_mode(self, tmp_path):
+        # rows carry their cells in column order, so CSV and JSON agree
+        expected = {
+            "sim": cli.THEORY_COLUMNS + cli.SIM_COLUMNS,
+            "compare": cli.THEORY_COLUMNS + cli.SIM_COLUMNS + cli.ERROR_COLUMNS,
+            "phy": cli.PHY_COLUMNS,
+        }
+        for mode, columns in expected.items():
+            args = [mode, "--lambda", "0.8", "--m", "2", "--sessions", "100",
+                    "--snr-db", "20"]
+            out_csv, out_json = tmp_path / f"{mode}.csv", tmp_path / f"{mode}.json"
+            assert cli.main(args + ["--out", str(out_csv)]) == 0
+            assert out_csv.read_text().splitlines()[0].split(",") == columns
+            assert cli.main(args + ["--format", "json", "--out", str(out_json)]) == 0
+            payload = json.loads(out_json.read_text())
+            assert payload["columns"] == columns
+            assert all(list(row) == columns for row in payload["rows"])
+
+
 class TestConfigAndErrors:
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -255,11 +278,39 @@ class TestConfigAndErrors:
         cfg.write_text(json.dumps(base))
         assert cli.main(["sim", "--config", str(cfg), "--seed", "-1"]) == 2
         assert "seed" in capsys.readouterr().err
-        for snr in ("nan", "-inf"):
+        for snr in ("nan", "-inf", "-4000"):
             rc = cli.main(["phy", "--m", "2", f"--snr-db={snr}", "--out", str(out)])
             assert rc == 2
             assert "snr_db" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_config_not_an_object(self, capsys, tmp_path):
+        cfg = tmp_path / "list.json"
+        cfg.write_text("[1, 2]")
+        assert cli.main(["theory", "--config", str(cfg)]) == 2
+        assert "not a JSON object" in capsys.readouterr().err
+
+    def test_config_key_typo_named(self, capsys, tmp_path):
+        # "sessions" is the flag; the config key is the spec field n_sessions
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"lambda_grid": "0.8", "m_grid": "2", "sessions": 50,
+                                   "output_path": str(tmp_path / "x.csv")}))
+        assert cli.main(["sim", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "error: sessions: unknown key" in err and "n_sessions" in err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_module_entry_point(self, tmp_path):
+        # python -m rara goes through __main__; a bad config is no traceback
+        cfg = tmp_path / "list.json"
+        cfg.write_text("[1, 2]")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "rara", "theory", "--config", str(cfg)],
+                              capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": path})
+        assert proc.returncode == 2
+        assert "not a JSON object" in proc.stderr and "Traceback" not in proc.stderr
 
     def test_io_exit_code_no_partial_file(self, tmp_path):
         target = tmp_path / "missing" / "out.csv"

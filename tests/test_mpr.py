@@ -260,7 +260,7 @@ class TestSymbolErrorRate:
 
     def test_rejects_nan_and_minus_inf_snr(self):
         # +inf is the noiseless case; these two would give NaN observations
-        for snr_db in (math.nan, -math.inf):
+        for snr_db in (math.nan, -math.inf, -4000.0):
             with pytest.raises(ValueError):
                 mpr.symbol_error_rate(2, 2, snr_db, 1000, 1)
             with pytest.raises(ValueError):

@@ -84,7 +84,7 @@ class TestRun:
 
     def test_phy_rule_requires_snr(self):
         # NaN and -inf would make nearly every collision an outage
-        for snr_db in (None, math.nan, -math.inf):
+        for snr_db in (None, math.nan, -math.inf, -4000.0):
             with pytest.raises(ValueError):
                 sim.SimConfig(PARAMS_DEFAULT, sim.PoissonProcess(0.8), 100,
                               success_rule=sim.PHY_COUPLED, snr_db=snr_db)
