@@ -50,10 +50,7 @@ class SystemParams:
     def __post_init__(self):
         if not (math.isfinite(self.lam) and self.lam >= 0):
             raise ValueError(f"traffic intensity must be finite and >= 0, got {self.lam}")
-        if not float(self.m_relays).is_integer():
-            raise ValueError(f"relay count must be an integer, got {self.m_relays}")
-        if self.m_relays < 1:
-            raise ValueError(f"need at least one relay, got {self.m_relays}")
+        check_count("relay count", self.m_relays, 1)
         if not (0 < self.epsilon <= 1):
             raise ValueError(f"idle-session fraction must be in (0, 1], got {self.epsilon}")
 

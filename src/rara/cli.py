@@ -1,11 +1,13 @@
 """Experiment runner: theory grids, Monte-Carlo sweeps, theory-vs-simulation
 comparisons, and PHY detector error rates, written as CSV or JSON tables.
 
-Subcommands: ``theory | sim | compare | phy``.  Grids are given as comma
-lists (``0.4,0.8``) or inclusive ranges (``start:stop:step``).  A config
-file is one JSON object keyed by :class:`ExperimentSpec` field names, and
-flags take precedence.  Unknown keys, a file that is not an object, and an
-``snr_db`` whose noise variance is not finite are validation errors.
+Subcommands ``theory | sim | compare | phy`` take the flags of the
+:class:`ExperimentSpec` fields that :data:`MODES` says they read; a config
+file is one JSON object keyed by those field names, and flags win.  Both go
+through one conversion.  Grids are comma lists (``0.4,0.8``) or inclusive
+ranges (``start:stop:step``).  Any other key, a ``mode`` key, a file that is
+not an object, and an ``snr_db`` whose noise variance is not finite are
+validation errors.
 
 Exit codes: 0 success, 2 validation error, 3 I/O error.
 """
@@ -13,6 +15,7 @@ Exit codes: 0 success, 2 validation error, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -20,7 +23,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +33,18 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_IO = 3
 
-MODES = ("theory", "sim", "compare", "phy")
+# The flag and help text of each ExperimentSpec field a flag sets.
+FLAGS = {"lambda_grid": ("--lambda", "traffic intensities: comma list or start:stop:step"),
+         "m_grid": ("--m", "relay counts: comma list or start:stop:step"),
+         "epsilon": ("--epsilon", "idle-session length"), "seed": ("--seed", "root seed"),
+         "n_sessions": ("--sessions", "sessions per simulation run (phy: trials)"),
+         "snr_db": ("--snr-db", "receive SNR in dB"), "output_path": ("--out", "output file"),
+         "format": ("--format", "csv (default) or json")}
+# The fields each mode reads, the one place this is decided; any other is refused.
+_OUT = ("output_path", "format")
+_SIM = ("lambda_grid", "m_grid", "epsilon", "n_sessions", "seed", *_OUT)
+MODES = {"theory": ("lambda_grid", "m_grid", "epsilon", *_OUT), "sim": _SIM, "compare": _SIM,
+         "phy": ("m_grid", "n_sessions", "seed", "snr_db", *_OUT)}
 
 THEORY_COLUMNS = [
     "lambda", "m", "epsilon",
@@ -72,8 +86,9 @@ class ExperimentSpec:
 
 def _as_kind(value, kind):
     """``value`` as ``kind``; an int refuses values with a fractional part."""
-    if kind is int and isinstance(value, int):
-        return int(value)  # exact past 2**53, where float() would round
+    if kind is int and isinstance(value, (int, str)):
+        with contextlib.suppress(ValueError):
+            return int(value)  # exact past 2**53, where float() would round
     value = float(value)
     if kind is int and not value.is_integer():
         raise ValueError(f"values must be integers, got {value!r}")
@@ -102,17 +117,18 @@ def parse_grid(text: str, kind=float) -> tuple:
 
 
 def validate_spec(raw: dict) -> ExperimentSpec:
-    """Fill defaults and check every field, collecting all failures."""
-    keys = [f.name for f in fields(ExperimentSpec)]
-    problems = [f"{key}: unknown key; valid keys are {', '.join(keys)}"
-                for key in raw if key not in keys]
-
+    """Fill defaults and check the fields the mode reads, collecting all
+    failures; a field it does not read is an unknown key."""
     mode = raw.get("mode")
+    keys = MODES.get(mode, tuple(FLAGS))  # an unknown mode has every field checked
+    problems = [f"{key}: unknown key; {mode} mode takes {', '.join(keys)}"
+                for key in raw if key not in ("mode", *keys)]
     if mode not in MODES:
         problems.append(f"mode: must be one of {'/'.join(MODES)}, got {mode!r}")
+    given = {key: raw[key] for key in keys if key in raw}
 
     def grid(name, kind, minimum):
-        value = raw.get(name) or ""
+        value = given.get(name) or ""
         try:
             vals = parse_grid(value, kind) if isinstance(value, str) \
                 else tuple(_as_kind(v, kind) for v in value)
@@ -127,14 +143,12 @@ def validate_spec(raw: dict) -> ExperimentSpec:
                 break
         return vals
 
-    # phy mode sweeps k = 1..M+1 per relay count; no traffic grid involved
-    lambda_grid = () if mode == "phy" and not raw.get("lambda_grid") \
-        else grid("lambda_grid", float, 0.0)
+    lambda_grid = grid("lambda_grid", float, 0.0) if "lambda_grid" in keys else ()
     m_grid = grid("m_grid", int, 1)
 
     def scalar(name, kind, default):
         try:
-            return _as_kind(raw.get(name, default), kind)
+            return _as_kind(given.get(name, default), kind)
         except (ValueError, TypeError) as exc:
             problems.append(f"{name}: {exc}")
             return default
@@ -144,28 +158,28 @@ def validate_spec(raw: dict) -> ExperimentSpec:
         problems.append(f"epsilon: must be in (0, 1], got {epsilon}")
 
     n_sessions = scalar("n_sessions", int, 10**6)
-    if mode in ("sim", "compare", "phy") and n_sessions < 1:
+    if n_sessions < 1:
         problems.append(f"n_sessions: must be >= 1, got {n_sessions}")
 
     seed = scalar("seed", int, 0)
     if seed < 0:
         problems.append(f"seed: must be >= 0, got {seed}")
 
-    snr_db = raw.get("snr_db")
+    snr_db = given.get("snr_db")
     if snr_db is not None:
         try:
             snr_db = _as_kind(snr_db, float)
             mpr.noise_variance(snr_db)
         except (ValueError, TypeError) as exc:
             problems.append(f"snr_db: {exc}")
-    elif mode == "phy":
-        problems.append("snr_db: required for phy mode")
+    elif "snr_db" in keys:
+        problems.append(f"snr_db: required for {mode} mode")
 
-    output_path = raw.get("output_path") or ""
+    output_path = given.get("output_path") or ""
     if not output_path:
         problems.append("output_path: required")
 
-    fmt = raw.get("format", "csv")
+    fmt = given.get("format", "csv")
     if fmt not in ("csv", "json"):
         problems.append(f"format: must be csv or json, got {fmt!r}")
 
@@ -252,44 +266,36 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Relay-aided random access experiments (theory, "
                     "simulation, comparison, PHY detector).")
     sub = parser.add_subparsers(dest="mode", required=True)
-    for mode in MODES:
-        p = sub.add_parser(mode)
-        p.add_argument("--lambda", dest="lambda_grid", metavar="GRID",
-                       help="traffic intensities: comma list or start:stop:step")
-        p.add_argument("--m", dest="m_grid", metavar="GRID",
-                       help="relay counts: comma list or start:stop:step")
-        p.add_argument("--epsilon", type=float, default=None)
-        p.add_argument("--sessions", dest="n_sessions", type=int, default=None,
-                       help="sessions per simulation run (phy: trials)")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--snr-db", dest="snr_db", type=float, default=None)
-        p.add_argument("--out", dest="output_path", default=None)
-        p.add_argument("--format", choices=("csv", "json"), default=None)
-        p.add_argument("--config", default=None,
-                       help="JSON object keyed by the spec field names "
-                            "(lambda_grid, n_sessions, snr_db, ...)")
+    for mode, keys in MODES.items():
+        # values stay strings for validate_spec; an unset flag is absent
+        p = sub.add_parser(mode, argument_default=argparse.SUPPRESS)
+        for key in keys:
+            p.add_argument(FLAGS[key][0], dest=key, help=FLAGS[key][1])
+        p.add_argument("--config", help="JSON object keyed by the field names "
+                                        f"{mode} reads ({', '.join(keys)})")
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    raw = {}
-    if args.config:
+    args = vars(_build_parser().parse_args(argv))
+    raw, config = {}, args.pop("config", None)
+    if config:
         try:
-            with open(args.config) as fh:
+            with open(config) as fh:
                 raw = json.load(fh)
         except OSError as exc:
-            print(f"error: cannot read config {args.config}: {exc}", file=sys.stderr)
+            print(f"error: cannot read config {config}: {exc}", file=sys.stderr)
             return EXIT_IO
         except ValueError as exc:  # bad JSON or bad UTF-8
-            print(f"error: bad config {args.config}: {exc}", file=sys.stderr)
+            print(f"error: bad config {config}: {exc}", file=sys.stderr)
             return EXIT_VALIDATION
         if not isinstance(raw, dict):
-            print(f"error: bad config {args.config}: not a JSON object", file=sys.stderr)
+            print(f"error: bad config {config}: not a JSON object", file=sys.stderr)
             return EXIT_VALIDATION
-    # flag dests are ExperimentSpec field names; an unset flag is None
-    raw.update((key, value) for key, value in vars(args).items()
-               if key != "config" and value is not None)
+        if "mode" in raw:  # the subcommand is the one place the mode is given
+            print(f"error: bad config {config}: mode: not a config key", file=sys.stderr)
+            return EXIT_VALIDATION
+    raw.update(args)  # flag dests are ExperimentSpec field names
     try:
         spec = validate_spec(raw)
     except SpecValidationError as exc:

@@ -78,6 +78,10 @@ class SimConfig:
         check_count("session count", self.n_sessions, 1)
         check_count("warmup_sessions", self.warmup_sessions, 0)
         check_count("seed", self.seed, 0)
+        # a walk reads only M and epsilon from params, so the rates must agree
+        if isinstance(self.arrivals, PoissonProcess) and self.arrivals.lam != self.params.lam:
+            raise ValueError(f"arrival rate {self.arrivals.lam} differs from "
+                             f"params.lam {self.params.lam}")
         if self.success_rule not in (THRESHOLD, PHY_COUPLED):
             raise ValueError(f"unknown success rule {self.success_rule!r}")
         if self.success_rule == PHY_COUPLED:

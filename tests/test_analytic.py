@@ -25,6 +25,9 @@ class TestSystemParams:
             A.SystemParams(0.8, 0, 0.1)
         with pytest.raises(ValueError):
             A.SystemParams(0.8, 2.5)
+        # a float count would otherwise fail only inside a PHY-coupled run
+        with pytest.raises(ValueError, match="relay count"):
+            A.SystemParams(0.8, 10.0)
         with pytest.raises(ValueError):
             A.SystemParams(0.8, 10, 0.0)
         with pytest.raises(ValueError):

@@ -9,6 +9,14 @@ import pytest
 
 from rara import cli
 
+# A working argument list per mode, each flag one the mode reads.
+MODE_ARGS = {
+    "theory": ["--lambda", "0.8", "--m", "2"],
+    "sim": ["--lambda", "0.8", "--m", "2", "--sessions", "100"],
+    "compare": ["--lambda", "0.8", "--m", "2", "--sessions", "100"],
+    "phy": ["--m", "2", "--sessions", "100", "--snr-db", "20"],
+}
+
 
 def read_csv(path):
     with open(path) as fh:
@@ -65,7 +73,7 @@ class TestValidateSpec:
         assert spec.n_sessions == 10**6
         assert spec.seed == 0
         # int fields stay exact where a float would round
-        assert cli.validate_spec(self.base(seed=2**53 + 1)).seed == 2**53 + 1
+        assert cli.validate_spec(self.base(mode="sim", seed=2**53 + 1)).seed == 2**53 + 1
 
     def test_empty_lambda_grid(self):
         with pytest.raises(cli.SpecValidationError) as exc:
@@ -226,8 +234,7 @@ class TestHeaders:
             "phy": cli.PHY_COLUMNS,
         }
         for mode, columns in expected.items():
-            args = [mode, "--lambda", "0.8", "--m", "2", "--sessions", "100",
-                    "--snr-db", "20"]
+            args = [mode, *MODE_ARGS[mode]]
             out_csv, out_json = tmp_path / f"{mode}.csv", tmp_path / f"{mode}.json"
             assert cli.main(args + ["--out", str(out_csv)]) == 0
             assert out_csv.read_text().splitlines()[0].split(",") == columns
@@ -235,6 +242,44 @@ class TestHeaders:
             payload = json.loads(out_json.read_text())
             assert payload["columns"] == columns
             assert all(list(row) == columns for row in payload["rows"])
+
+
+class TestModeSettings:
+    @pytest.mark.parametrize("mode, flag, key, value", [
+        ("theory", "--sessions", "n_sessions", "5"),
+        ("theory", "--seed", "seed", "3"),
+        ("theory", "--snr-db", "snr_db", "20"),
+        ("sim", "--snr-db", "snr_db", "20"),
+        ("compare", "--snr-db", "snr_db", "20"),
+        ("phy", "--lambda", "lambda_grid", "0.8"),
+        ("phy", "--epsilon", "epsilon", "0.1"),
+    ])
+    def test_unread_setting_refused(self, capsys, tmp_path, mode, flag, key, value):
+        # a setting the mode would not read exits 2, as a flag or a config key
+        out = tmp_path / "x.csv"
+        args = [mode, *MODE_ARGS[mode], "--out", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(args + [flag, value])
+        assert exc.value.code == 2
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        capsys.readouterr()
+        assert cli.main(args + ["--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {key}: unknown key" in err and "output_path" in err
+        # the subcommand is the one place the mode is given, even its own
+        cfg.write_text(json.dumps({"mode": mode}))
+        assert cli.main(args + ["--config", str(cfg)]) == 2
+        assert "mode: not a config key" in capsys.readouterr().err
+        assert not out.exists()
+        assert cli.main(args) == 0
+
+    def test_flags_convert_like_config(self):
+        # flags reach validate_spec as strings; an integer string stays exact
+        spec = cli.validate_spec({"mode": "sim", "lambda_grid": "0.8", "m_grid": "2",
+                                  "seed": "9007199254740993", "n_sessions": "1e3",
+                                  "output_path": "x.csv"})
+        assert spec.seed == 9007199254740993 and spec.n_sessions == 1000
 
 
 class TestConfigAndErrors:

@@ -100,6 +100,14 @@ class TestRun:
             with pytest.raises(ValueError, match="seed"):
                 sim.SimConfig(PARAMS_DEFAULT, sim.PoissonProcess(0.8), 100, seed=seed)
 
+    def test_rejects_mismatched_rate(self):
+        # the walk draws at the process's rate, so params.lam would be ignored
+        with pytest.raises(ValueError, match="arrival rate"):
+            sim.SimConfig(A.SystemParams(0.8, 10), sim.PoissonProcess(0.5), 100)
+        # n * p of a finite population need not equal lambda bit for bit:
+        # here it is 0.8999999999999999
+        sim.SimConfig(A.SystemParams(0.9, 10), sim.FinitePopulation.from_traffic(0.9, 10), 100)
+
     def test_block_chaining(self):
         # runs of 100 sessions are cut into 10 blocks, so ~9% of the pooled
         # one-step transitions cross a block boundary; each must follow the
