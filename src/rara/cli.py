@@ -6,8 +6,10 @@ Subcommands ``theory | sim | compare | phy`` take the flags of the
 file is one JSON object keyed by those field names, and flags win.  Both go
 through one conversion.  Grids are comma lists (``0.4,0.8``) or inclusive
 ranges (``start:stop:step``).  Any other key, a ``mode`` key, a file that is
-not an object, and an ``snr_db`` whose noise variance is not finite are
-validation errors.
+not an object, an ``snr_db`` whose noise variance is not finite, and a
+simulated traffic grid whose arrival counts :func:`rara.sim.check_arrivals`
+refuses are validation errors.  An unread flag is reported under its mode's
+usage line.
 
 Exit codes: 0 success, 2 validation error, 3 I/O error.
 """
@@ -145,6 +147,12 @@ def validate_spec(raw: dict) -> ExperimentSpec:
 
     lambda_grid = grid("lambda_grid", float, 0.0) if "lambda_grid" in keys else ()
     m_grid = grid("m_grid", int, 1)
+    if "n_sessions" in keys and lambda_grid and m_grid and not problems:
+        # every simulated row must fit the walk's arrival tables
+        try:
+            sim.check_arrivals(sim.PoissonProcess(max(lambda_grid)), max(m_grid))
+        except ValueError as exc:
+            problems.append(f"lambda_grid: {exc}")
 
     def scalar(name, kind, default):
         try:
@@ -260,24 +268,30 @@ def write_output(text: str, path: str) -> None:
         raise
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The root parser and each mode's subparser."""
     parser = argparse.ArgumentParser(
         prog="rara",
         description="Relay-aided random access experiments (theory, "
                     "simulation, comparison, PHY detector).")
     sub = parser.add_subparsers(dest="mode", required=True)
+    modes = {}
     for mode, keys in MODES.items():
         # values stay strings for validate_spec; an unset flag is absent
-        p = sub.add_parser(mode, argument_default=argparse.SUPPRESS)
+        p = modes[mode] = sub.add_parser(mode, argument_default=argparse.SUPPRESS)
         for key in keys:
             p.add_argument(FLAGS[key][0], dest=key, help=FLAGS[key][1])
         p.add_argument("--config", help="JSON object keyed by the field names "
                                         f"{mode} reads ({', '.join(keys)})")
-    return parser
+    return parser, modes
 
 
 def main(argv=None) -> int:
-    args = vars(_build_parser().parse_args(argv))
+    parser, modes = _build_parser()
+    namespace, extra = parser.parse_known_args(argv)
+    args = vars(namespace)
+    if extra:  # reported with the usage of the mode that did not read them
+        modes[args["mode"]].error(f"unrecognized arguments: {' '.join(extra)}")
     raw, config = {}, args.pop("config", None)
     if config:
         try:

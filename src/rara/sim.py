@@ -11,7 +11,12 @@ transmission (K = 1) is always delivered under both rules: it occupies the
 direct link alone for one time unit, with no relay copies to detect over.
 
 A session's length depends only on its contender count K, so K alone is a
-Markov chain; :func:`run` walks it in blocks of array draws, not per session.
+Markov chain.  :func:`run` draws one uniform per session and reads K off
+the CDF table of the arrival law over the length of the session before it
+(inverse-transform sampling), for Poisson and finite-population arrivals
+alike.  The walk runs in blocks of array steps, not per session.  Every
+table row ends in exactly 1.0, so a K whose probability per session is
+below about 2**-53 cannot be drawn.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from . import mpr
 from .analytic import SystemParams, check_count
@@ -33,6 +39,10 @@ DEFAULT_WARMUP = 1000
 
 _BATCHES = 100
 
+# Largest arrival count per session the walk tabulates; a law that needs
+# more is refused, since its CDF table would not fit in memory.
+MAX_ARRIVALS = 2**21
+
 
 @dataclass(frozen=True)
 class PoissonProcess:
@@ -43,6 +53,10 @@ class PoissonProcess:
     def __post_init__(self):
         if not 0 <= self.lam < math.inf:
             raise ValueError(f"arrival rate must be finite and >= 0, got {self.lam}")
+
+    def cdf(self, k, duration):
+        """P(K <= k) for the arrivals K over ``duration`` time units."""
+        return special.pdtr(k, self.lam * duration)
 
 
 @dataclass(frozen=True)
@@ -57,6 +71,13 @@ class FinitePopulation:
         check_count("device count", self.n_devices, 1)
         if not (0 <= self.p_active <= 1):
             raise ValueError(f"activation probability must be in [0, 1], got {self.p_active}")
+
+    def cdf(self, k, duration):
+        """P(K <= k) for the arrivals K over ``duration`` time units."""
+        with np.errstate(divide="ignore"):  # log1p(-1) = -inf gives p = 1
+            p = -np.expm1(duration * np.log1p(-self.p_active))
+        # bdtr is NaN past k = n, where the CDF is 1
+        return special.bdtr(np.minimum(k, self.n_devices), self.n_devices, p)
 
     @classmethod
     def from_traffic(cls, lam: float, n_devices: int) -> "FinitePopulation":
@@ -82,6 +103,7 @@ class SimConfig:
         if isinstance(self.arrivals, PoissonProcess) and self.arrivals.lam != self.params.lam:
             raise ValueError(f"arrival rate {self.arrivals.lam} differs from "
                              f"params.lam {self.params.lam}")
+        check_arrivals(self.arrivals, self.params.m_relays)
         if self.success_rule not in (THRESHOLD, PHY_COUPLED):
             raise ValueError(f"unknown success rule {self.success_rule!r}")
         if self.success_rule == PHY_COUPLED:
@@ -106,40 +128,75 @@ class SimReport:
     seed: int
 
 
-def sample_arrivals(model, duration, rng: np.random.Generator):
-    """Number of devices becoming active over ``duration`` time units (a
-    scalar, or an array for one draw per entry)."""
-    if np.any(np.asarray(duration) <= 0):
-        raise ValueError(f"duration must be > 0, got {duration}")
-    if isinstance(model, PoissonProcess):
-        return rng.poisson(model.lam * duration)
-    if isinstance(model, FinitePopulation):
-        p = 1.0 - (1.0 - model.p_active) ** duration
-        return rng.binomial(model.n_devices, p)
-    raise TypeError(f"unknown arrival model {model!r}")
+def check_arrivals(model, m_relays: int) -> None:
+    """Refuse an arrival law whose count over a session of M+1 units cannot
+    be tabulated in :data:`MAX_ARRIVALS` + 1 entries."""
+    _cdf_table(model, [m_relays + 1.0])
+
+
+def _cdf_table(model, durations) -> np.ndarray:
+    """F[c, k] = P(K <= k) for the arrivals K over a session of length
+    ``durations[c]``, for k = 0, 1, ... up to the first k at which every row
+    is exactly 1.0 (and at least k = 1).
+
+    Every row ends in exactly 1.0, so a uniform u < 1 never runs off the
+    end: a K whose probability per session is below about 2**-53 rounds
+    into its neighbour and is never drawn.
+    """
+    durations = np.asarray(durations, dtype=float)[:, None]
+    size = 64
+    while True:
+        table = model.cdf(np.arange(size), durations)
+        done = np.flatnonzero(np.all(table == 1.0, axis=0))
+        if done.size:
+            return table[:, :max(2, done[0] + 1)]
+        if size > MAX_ARRIVALS:
+            raise ValueError(f"arrivals over a session of {durations.max():g} units "
+                             f"can exceed {MAX_ARRIVALS}, the most the walk tabulates")
+        size = min(2 * size, MAX_ARRIVALS + 1)
 
 
 def _walk(model, durations, n_sessions: int, rng: np.random.Generator) -> np.ndarray:
     """Contender counts K of ``n_sessions`` consecutive sessions, the first
     following a session of length 1.
 
-    Every block of isqrt(n_sessions) sessions is walked in lockstep from each
-    entry class (Idle, Single, Long), one draw per step over all of them; each
-    block then takes the walk starting in the class its predecessor ended in.
-    Those draws are independent of that choice, so this is the exact chain.
+    A session's K is the inverse CDF of one uniform u in the table row of
+    the class (Idle, Single, Long) of the session before it.  Every block of
+    isqrt(n_sessions) sessions is walked in lockstep from each entry class,
+    the three walks of a block sharing its uniforms; a step needs only the
+    next class, (u >= F_c(0)) + (u >= F_c(1)), never K.  Each block then
+    takes the walk starting in the class its predecessor ended in.  The
+    uniforms do not depend on that choice, so this is the exact chain.  K is
+    recovered afterwards along the chosen path, with one table search per
+    Long session.
     """
+    table = _cdf_table(model, durations)
     size = math.isqrt(n_sessions)
     n_blocks = -(-n_sessions // size)
-    durations = np.asarray(durations)
-    k = np.empty((size, n_blocks, 3), dtype=np.int64)
-    cls = np.broadcast_to(np.arange(3), (n_blocks, 3))
+    u = rng.random((size, n_blocks))
+    # the next class from each of the three current ones, per step and block
+    nxt = ((u[..., None] >= table[:, 0]).astype(np.int8)
+           + (u[..., None] >= table[:, 1])).reshape(size, 3 * n_blocks)
+    cls = np.empty((size + 1, n_blocks, 3), dtype=np.int8)
+    cls[0] = np.arange(3)
+    # cls[step + 1][b, j] = nxt[step][b, cls[step][b, j]] on the flat layout
+    offset = 3 * np.arange(n_blocks)[:, None]
     for step in range(size):
-        k[step] = sample_arrivals(model, durations[cls], rng)
-        cls = np.minimum(k[step], 2)
-    entry, exits = [1], cls.tolist()
+        cls[step + 1] = nxt[step].take(offset + cls[step])
+    entry, exits = [1], cls[size].tolist()
     for block in range(n_blocks - 1):
         entry.append(exits[block][entry[-1]])
-    return k[:, np.arange(n_blocks), entry].T.ravel()[:n_sessions]
+    path = cls[:, np.arange(n_blocks), entry].T
+    before = path[:, :-1].ravel()[:n_sessions]
+    k = path[:, 1:].ravel()[:n_sessions].astype(np.int64)
+    u = u.T.ravel()[:n_sessions]
+    # a class below 2 is its K; a Long one is searched for in the row of
+    # the class before it
+    long = np.flatnonzero(k == 2)
+    for c in range(3):
+        of_c = long[before[long] == c]
+        k[of_c] = np.searchsorted(table[c], u[of_c], side="right")
+    return k
 
 
 def run(config: SimConfig) -> SimReport:
@@ -182,11 +239,13 @@ def run(config: SimConfig) -> SimReport:
     # batch means: sessions are Markov-dependent, so per-session errors
     # understate the variance; batches restore approximate independence
     n_batches = min(_BATCHES, n)
-    batch_d = np.array([b.sum() for b in np.array_split(delivered, n_batches)], dtype=float)
-    batch_t = np.array([b.sum() for b in np.array_split(lengths, n_batches)])
-    batch_n = np.array([len(b) for b in np.array_split(lengths, n_batches)], dtype=float)
-    batch_u = np.array([np.count_nonzero(b == 3)
-                        for b in np.array_split(states, n_batches)], dtype=float)
+    # batch b starts at b*q + min(b, r), the boundaries of np.array_split
+    q, r = divmod(n, n_batches)
+    starts = np.arange(n_batches) * q + np.minimum(np.arange(n_batches), r)
+    batch_n = np.diff(starts, append=n).astype(float)
+    batch_d = np.add.reduceat(delivered, starts).astype(float)
+    batch_t = np.add.reduceat(lengths, starts)
+    batch_u = np.add.reduceat(states == 3, starts, dtype=np.int64).astype(float)
 
     def _stderr(values):
         if n_batches < 2:

@@ -261,6 +261,9 @@ class TestModeSettings:
         with pytest.raises(SystemExit) as exc:
             cli.main(args + [flag, value])
         assert exc.value.code == 2
+        # reported with the usage of the mode, not the root's
+        err = capsys.readouterr().err
+        assert f"usage: rara {mode}" in err and f"unrecognized arguments: {flag}" in err
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({key: value}))
         capsys.readouterr()
@@ -303,6 +306,10 @@ class TestConfigAndErrors:
         assert rc == 2
         assert "m_grid" in capsys.readouterr().err
         rc = cli.main(["theory", "--lambda", "0:1e12:1", "--m", "10", "--out", "x.csv"])
+        assert rc == 2
+        assert "lambda_grid" in capsys.readouterr().err
+        # arrival counts past what the walk tabulates are refused up front
+        rc = cli.main(["sim", "--lambda", "0.8,1e7", "--m", "10", "--out", "x.csv"])
         assert rc == 2
         assert "lambda_grid" in capsys.readouterr().err
         with pytest.raises(cli.SpecValidationError) as exc:

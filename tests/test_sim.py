@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import special, stats
 
 from rara import analytic as A
 from rara import sim
@@ -13,7 +14,7 @@ PARAMS_DEFAULT = A.SystemParams(0.8, 10, 0.1)
 
 class TestArrivalModels:
     def test_poisson_rejects_negative(self):
-        # NaN and inf as well: they would fail only later, inside rng.poisson
+        # NaN and inf as well: their arrival tables would never reach 1.0
         for lam in (-0.1, math.nan, math.inf):
             with pytest.raises(ValueError):
                 sim.PoissonProcess(lam)
@@ -32,33 +33,75 @@ class TestArrivalModels:
         assert fp.n_devices * fp.p_active == pytest.approx(0.8, abs=1e-9)
 
 
-class TestSampleArrivals:
-    def test_zero_rate(self):
+def _law_pmf(model, duration, k):
+    """P(K = k) over ``duration`` from scipy.stats, not from the tables."""
+    if isinstance(model, sim.PoissonProcess):
+        return stats.poisson.pmf(k, model.lam * duration)
+    p = 1.0 - (1.0 - model.p_active) ** duration
+    return stats.binom.pmf(k, model.n_devices, p)
+
+
+LAWS = [sim.PoissonProcess(1.0), sim.FinitePopulation(20, 0.05)]
+
+
+class TestCdfTable:
+    def test_rows_match_scipy(self):
+        durations = A.SystemParams(2.0, 3200).durations[:3]
+        table = sim._cdf_table(sim.PoissonProcess(2.0), durations)
+        k = np.arange(table.shape[1])
+        for row, t in zip(table, durations):
+            assert np.array_equal(row, special.pdtr(k, 2.0 * t))
+        # checked, not assumed: no u < 1 can run off the end
+        assert np.all(table[:, -1] == 1.0) and not np.all(table[:, -2] == 1.0)
+        assert np.all(np.diff(table, axis=1) >= 0)
+        for n, p_a, m in ((400, 0.002, 10), (20, 0.05, 30)):
+            durations = A.SystemParams(n * p_a, m).durations[:3]
+            table = sim._cdf_table(sim.FinitePopulation(n, p_a), durations)
+            assert table.shape[1] <= n + 1
+            k = np.arange(table.shape[1])
+            for row, t in zip(table, durations):
+                p_t = -np.expm1(t * np.log1p(-p_a))
+                assert np.array_equal(row, special.bdtr(k, n, p_t))
+                assert p_t == pytest.approx(1 - (1 - p_a) ** t, rel=1e-12)
+            assert np.all(table[:, -1] == 1.0)
+
+    def test_edge_cases(self):
         rng = np.random.default_rng(0)
-        assert sim.sample_arrivals(sim.PoissonProcess(0.0), 5.0, rng) == 0
+        durations = A.SystemParams(0.8, 10).durations[:3]
+        assert not sim._walk(sim.PoissonProcess(0.0), durations, 1000, rng).any()
+        assert not sim._walk(sim.FinitePopulation(30, 0.0), durations, 1000, rng).any()
+        assert np.all(sim._walk(sim.FinitePopulation(30, 1.0), durations, 1000, rng) == 30)
+        # M + 1 >= n: the table stops at k = n and every draw fits in it
+        k = sim._walk(sim.FinitePopulation(5, 0.5), durations, 10_000, rng)
+        assert k.max() == 5 and k.min() >= 0
+        assert sim._cdf_table(sim.FinitePopulation(5, 0.5), durations).shape[1] == 6
 
-    def test_rejects_nonpositive_duration(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            sim.sample_arrivals(sim.PoissonProcess(0.8), 0.0, rng)
-        with pytest.raises(ValueError):
-            sim.sample_arrivals(sim.FinitePopulation(50, 0.01),
-                                np.array([[0.1, 1.0], [-2.0, 2.0]]), rng)
+    def test_rejects_untabulable_laws(self):
+        # a Poisson table would need ~2e7 entries per row; a binomial one
+        # reaches exactly 1.0 only at k = n, so n past the cap is refused
+        with pytest.raises(ValueError, match="tabulates"):
+            sim.SimConfig(A.SystemParams(1e7, 1), sim.PoissonProcess(1e7), 100)
+        with pytest.raises(ValueError, match="tabulates"):
+            sim.SimConfig(A.SystemParams(0.8, 1),
+                          sim.FinitePopulation.from_traffic(0.8, sim.MAX_ARRIVALS + 1), 100)
 
-    def test_poisson_moments(self):
-        rng = np.random.default_rng(1)
-        draws = sim.sample_arrivals(sim.PoissonProcess(0.8), np.ones(10**6), rng)
-        # CLT: 3 sigma on the sample mean of Poisson(0.8)
-        assert abs(draws.mean() - 0.8) < 3 * math.sqrt(0.8 / 10**6)
-
-    def test_binomial_moments(self):
-        model = sim.FinitePopulation(400, 0.002)
-        rng = np.random.default_rng(2)
-        draws = sim.sample_arrivals(model, np.ones(10**6), rng)
-        mean = 400 * 0.002
-        assert abs(draws.mean() - mean) < 3 * math.sqrt(mean / 10**6)
-        # slightly sub-Poisson: var = n p (1-p)
-        assert draws.var() == pytest.approx(mean * (1 - 0.002), rel=0.01)
+    @pytest.mark.parametrize("model", LAWS, ids=["poisson", "finite"])
+    def test_conditional_pmf(self, model):
+        # the K histogram after each class matches its table row's pmf
+        durations = A.SystemParams(1.0, 3).durations[:3]
+        table = sim._cdf_table(model, durations)
+        k = sim._walk(model, durations, 200_000, np.random.default_rng(3))
+        before = np.minimum(np.concatenate([[1], k[:-1]]), 2)
+        for c in range(3):
+            after = k[before == c]
+            pmf = np.diff(table[c], prepend=0.0)
+            counts = np.bincount(after, minlength=len(pmf))
+            assert len(counts) == len(pmf)  # every draw fits in the table
+            seen = pmf > 1e-6
+            expect = len(after) * pmf[seen]
+            z = (counts[seen] - expect) / np.sqrt(expect * (1 - pmf[seen]))
+            assert np.max(np.abs(z)) < 5
+            assert counts[~seen].sum() <= 2
 
 
 class TestRun:
@@ -110,20 +153,48 @@ class TestRun:
 
     def test_block_chaining(self):
         # runs of 100 sessions are cut into 10 blocks, so ~9% of the pooled
-        # one-step transitions cross a block boundary; each must follow the
-        # lumped (Idle, Single, Long) transition matrix
-        params = A.SystemParams(1.0, 1, 0.1)
-        rng = np.random.default_rng(5)
-        counts = np.zeros((3, 3))
-        for _ in range(2000):
-            cls = np.minimum(sim._walk(sim.PoissonProcess(1.0), params.durations[:3],
-                                       100, rng), 2)
-            np.add.at(counts, (cls[:-1], cls[1:]), 1)
-        p = A.transition_matrix(params)[:3]
-        p = np.column_stack([p[:, 0], p[:, 1], p[:, 2] + p[:, 3]])
-        visits = counts.sum(axis=1, keepdims=True)
-        z = (counts / visits - p) / np.sqrt(p * (1 - p) / visits)
-        assert np.max(np.abs(z)) < 5
+        # one-step transitions cross a block boundary; the K after each
+        # class must follow that class's arrival law (K >= 5 pooled)
+        durations = A.SystemParams(1.0, 1, 0.1).durations[:3]
+        # the lumped (Idle, Single, Long) rows of the analytic chain
+        lumped = A.transition_matrix(A.SystemParams(1.0, 1, 0.1))[:3]
+        for model in LAWS:
+            rng = np.random.default_rng(5)
+            counts = np.zeros((3, 6))
+            for _ in range(2000):
+                k = sim._walk(model, durations, 100, rng)
+                np.add.at(counts, (np.minimum(k[:-1], 2), np.minimum(k[1:], 5)), 1)
+            p = np.array([_law_pmf(model, t, np.arange(6)) for t in durations])
+            p[:, 5] = 1 - p[:, :5].sum(axis=1)
+            if isinstance(model, sim.PoissonProcess):
+                assert np.allclose(p[:, :2], lumped[:, :2], rtol=1e-12)
+            visits = counts.sum(axis=1, keepdims=True)
+            z = (counts / visits - p) / np.sqrt(p * (1 - p) / visits)
+            assert np.max(np.abs(z)) < 5
+
+    @pytest.mark.parametrize("n", [1, 37, 10_007])
+    def test_batch_means_match_array_split(self, n):
+        # the batches of run are those of np.array_split over the counted
+        # sessions, rebuilt here from the walk's own generator
+        cfg = sim.SimConfig(PARAMS_DEFAULT, sim.PoissonProcess(0.8), n, seed=4)
+        rep = sim.run(cfg)
+        arr_ss, _ = np.random.SeedSequence(4).spawn(2)
+        k = sim._walk(cfg.arrivals, PARAMS_DEFAULT.durations[:3],
+                      cfg.warmup_sessions + n, np.random.default_rng(arr_ss))
+        k = k[cfg.warmup_sessions:]
+        states = np.minimum(k, 2)
+        states[k > PARAMS_DEFAULT.m_relays + 1] = 3
+        delivered = np.where(states == 3, 0, k)
+        lengths = np.array(PARAMS_DEFAULT.durations)[states]
+        batches = min(100, n)
+        d, t, u, m = (np.array([f(b) for b in np.array_split(x, batches)], dtype=float)
+                      for f, x in ((np.sum, delivered), (np.sum, lengths),
+                                   (lambda b: np.count_nonzero(b == 3), states),
+                                   (len, states)))
+        oracle = [np.std(v, ddof=1) / math.sqrt(batches) if batches > 1 else math.nan
+                  for v in (d / t, u / m, t / m)]
+        got = [rep.stderr_throughput, rep.stderr_outage, rep.stderr_mean_length]
+        assert got == pytest.approx(oracle, rel=1e-12, nan_ok=True)
 
     def test_phy_rule_matches_threshold_at_high_snr(self):
         common = dict(params=PARAMS_DEFAULT, arrivals=sim.PoissonProcess(0.8),
