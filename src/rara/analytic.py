@@ -30,8 +30,10 @@ DEFAULT_EPSILON = 0.1
 
 
 def check_count(name: str, value, minimum: int) -> None:
-    """Refuse a count that is not an integer (a float, even 2.0) or is below ``minimum``."""
-    if not (isinstance(value, numbers.Integral) and value >= minimum):
+    """Refuse a count that is not an integer (a float, even 2.0, or a bool)
+    or is below ``minimum``."""
+    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and value >= minimum):
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
@@ -48,11 +50,13 @@ class SystemParams:
     epsilon: float = DEFAULT_EPSILON
 
     def __post_init__(self):
-        if not (math.isfinite(self.lam) and self.lam >= 0):
-            raise ValueError(f"traffic intensity must be finite and >= 0, got {self.lam}")
+        # the scalar form of check_grid, kept free of numpy for speed
         check_count("relay count", self.m_relays, 1)
         if not (0 < self.epsilon <= 1):
             raise ValueError(f"idle-session fraction must be in (0, 1], got {self.epsilon}")
+        if not (self.lam >= 0 and math.isfinite(self.lam * (self.m_relays + 1.0))):
+            raise ValueError("traffic intensity must be >= 0 with lambda*(M+1) finite, "
+                             f"got {self.lam}")
 
     @property
     def durations(self) -> tuple[float, float, float, float]:
@@ -102,16 +106,20 @@ class ChainSolution:
     mean_success_count: np.ndarray
 
 
-def _grid(lam, m_relays, epsilon=DEFAULT_EPSILON):
-    """Validate a (lambda, M, epsilon) grid and broadcast it to float arrays."""
+def check_grid(lam, m_relays=1, epsilon=DEFAULT_EPSILON):
+    """Broadcast a (lambda, M, epsilon) grid to float arrays, raising a
+    ValueError that names its first value outside the model.  The array form
+    of the rule :class:`SystemParams` applies to one point."""
     lam, m, eps = np.broadcast_arrays(
         *(np.asarray(v, dtype=float) for v in (lam, m_relays, epsilon)))
-    if not np.all(np.isfinite(lam) & (lam >= 0)):
-        raise ValueError("traffic intensities must be finite and >= 0")
-    if not np.all((m >= 1) & (m == np.floor(m))):
-        raise ValueError("relay counts must be integers >= 1")
-    if not np.all((eps > 0) & (eps <= 1)):
-        raise ValueError("idle-session fractions must be in (0, 1]")
+    with np.errstate(over="ignore", invalid="ignore"):  # inf % 1, lambda*(M+1) overflow
+        rules = (("relay counts must be integers >= 1", m, (m >= 1) & (m % 1 == 0)),
+                 ("idle-session fractions must be in (0, 1]", eps, (eps > 0) & (eps <= 1)),
+                 ("traffic intensities must be >= 0 with lambda*(M+1) finite", lam,
+                  (lam >= 0) & np.isfinite(lam * (m + 1.0))))
+    for rule, values, ok in rules:
+        if not ok.all():
+            raise ValueError(f"{rule}, got {values[~ok].flat[0]}")
     return lam, m, eps
 
 
@@ -163,7 +171,7 @@ def solve_chain(lam, m_relays, epsilon=DEFAULT_EPSILON) -> ChainSolution:
     that follows each state.  All arithmetic is elementwise, so a grid point
     gives the same bits whatever grid it is solved in.
     """
-    return _solve(*_grid(lam, m_relays, epsilon))
+    return _solve(*check_grid(lam, m_relays, epsilon))
 
 
 def _solve(lam, m, eps) -> ChainSolution:
@@ -266,7 +274,7 @@ def gaussian_approx(lam, m_relays) -> tuple[np.ndarray, np.ndarray]:
     (lambda, M) grid: outage q = Q(psi) with psi = (1 - lambda) sqrt(M /
     lambda), the normalized deviation of the decodable-count threshold, and
     throughput lambda (1 - q).  At lambda = 0, psi = +inf and both are 0."""
-    lam, m, _ = _grid(lam, m_relays)
+    lam, m, _ = check_grid(lam, m_relays)
     return _gaussian(lam, m)
 
 
@@ -291,7 +299,7 @@ def outage_approx(params: SystemParams) -> float:
 def asymptotic_throughput(lam):
     """M -> infinity throughput limit: lambda below unit load, 1/2 at exactly
     unit load, 0 above (pointwise definition; discontinuous at lambda = 1).
-    Broadcasts over an array of intensities; refuses one that is negative,
-    NaN or infinite, like every other entry point."""
-    lam = _grid(lam, 1)[0]
+    Broadcasts over an array of intensities; refuses what :func:`check_grid`
+    refuses at M = 1, like every other entry point."""
+    lam = check_grid(lam)[0]
     return np.select([lam < 1.0, lam == 1.0], [lam, 0.5], 0.0)[()]

@@ -1,15 +1,13 @@
 """Experiment runner: theory grids, Monte-Carlo sweeps, theory-vs-simulation
 comparisons, and PHY detector error rates, written as CSV or JSON tables.
 
-Subcommands ``theory | sim | compare | phy`` take the flags of the
-:class:`ExperimentSpec` fields that :data:`MODES` says they read; a config
-file is one JSON object keyed by those field names, and flags win.  Both go
-through one conversion.  Grids are comma lists (``0.4,0.8``) or inclusive
-ranges (``start:stop:step``).  Any other key, a ``mode`` key, a file that is
-not an object, an ``snr_db`` whose noise variance is not finite, and a
-simulated traffic grid whose arrival counts :func:`rara.sim.check_arrivals`
-refuses are validation errors.  An unread flag is reported under its mode's
-usage line.
+Subcommands ``theory | sim | compare | phy`` take the flags of the fields
+:data:`MODES` says they read; a config file is one JSON object keyed by the
+same field names, and flags win.  Grids are comma lists (``0.4,0.8``) or
+inclusive ranges (``start:stop:step``).  Every value is converted one way and
+checked by the library rule :data:`FIELDS` names for it; the largest
+(lambda, M) of a grid is checked by ``analytic.check_grid`` and, when
+simulated, by ``sim.check_arrivals``.  This module states no check of its own.
 
 Exit codes: 0 success, 2 validation error, 3 I/O error.
 """
@@ -35,13 +33,24 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_IO = 3
 
-# The flag and help text of each ExperimentSpec field a flag sets.
-FLAGS = {"lambda_grid": ("--lambda", "traffic intensities: comma list or start:stop:step"),
-         "m_grid": ("--m", "relay counts: comma list or start:stop:step"),
-         "epsilon": ("--epsilon", "idle-session length"), "seed": ("--seed", "root seed"),
-         "n_sessions": ("--sessions", "sessions per simulation run (phy: trials)"),
-         "snr_db": ("--snr-db", "receive SNR in dB"), "output_path": ("--out", "output file"),
-         "format": ("--format", "csv (default) or json")}
+# Each ExperimentSpec field a flag sets: its flag, help text, kind (a one-tuple
+# for a grid of that type), default (None: required) and the library rule that
+# checks the converted value by raising ValueError (``str`` for the two text
+# fields, which need none).  This module states no check of its own.
+FIELDS = {
+    "lambda_grid": ("--lambda", "traffic intensities: comma list or start:stop:step",
+                    (float,), None, analytic.check_grid),
+    "m_grid": ("--m", "relay counts: comma list or start:stop:step",
+               (int,), None, lambda m: analytic.check_grid(0.0, m)),
+    "epsilon": ("--epsilon", "idle-session length", float, analytic.DEFAULT_EPSILON,
+                lambda eps: analytic.check_grid(0.0, 1, eps)),
+    "n_sessions": ("--sessions", "sessions per simulation run (phy: trials)", int, 10**6,
+                   lambda n: analytic.check_count("session count", n, 1)),
+    "seed": ("--seed", "root seed", int, 0, lambda seed: analytic.check_count("seed", seed, 0)),
+    "snr_db": ("--snr-db", "receive SNR in dB", float, None, mpr.noise_variance),
+    "output_path": ("--out", "output file", str, None, str),
+    "format": ("--format", "csv (default) or json", str, "csv", str),
+}
 # The fields each mode reads, the one place this is decided; any other is refused.
 _OUT = ("output_path", "format")
 _SIM = ("lambda_grid", "m_grid", "epsilon", "n_sessions", "seed", *_OUT)
@@ -87,7 +96,12 @@ class ExperimentSpec:
 
 
 def _as_kind(value, kind):
-    """``value`` as ``kind``; an int refuses values with a fractional part."""
+    """``value`` as ``kind``, refusing a bool (JSON true would read as 1), a
+    non-string for a str kind, and a fractional part for an int."""
+    if isinstance(value, bool) or kind is str and not isinstance(value, str):
+        raise ValueError(f"values must be of type {kind.__name__}, got {value!r}")
+    if kind is str:
+        return value
     if kind is int and isinstance(value, (int, str)):
         with contextlib.suppress(ValueError):
             return int(value)  # exact past 2**53, where float() would round
@@ -97,105 +111,73 @@ def _as_kind(value, kind):
     return kind(value)
 
 
-def parse_grid(text: str, kind=float) -> tuple:
-    """Parse ``a,b,c`` or an inclusive ``start:stop:step`` range."""
-    text = str(text).strip()
-    if ":" not in text:
-        return tuple(_as_kind(p, kind) for p in text.split(",") if p.strip())
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"range must be start:stop:step, got {text!r}")
-    start, stop, step = (float(p) for p in parts)
-    if not all(map(math.isfinite, (start, stop, step))):
-        raise ValueError(f"range bounds and step must be finite, got {text!r}")
-    if step <= 0:
-        raise ValueError(f"range step must be > 0, got {step}")
-    # counted before any value is built, so a huge range costs no memory
-    count = math.floor((stop - start) / step + 1e-9) + 1
-    if count > MAX_RANGE_VALUES:
-        raise ValueError(f"range {text!r} has more than {MAX_RANGE_VALUES} values")
-    # each value from its index, so float error does not accumulate
-    return tuple(_as_kind(round(start + i * step, 12), kind) for i in range(count))
+def parse_grid(text, kind=float) -> tuple:
+    """Parse ``a,b,c``, an inclusive ``start:stop:step`` range, or a list
+    (from a config file) into a non-empty tuple of ``kind``."""
+    if not isinstance(text, str):
+        values = text
+    elif ":" not in text:
+        values = [p for p in text.split(",") if p.strip()]
+    else:
+        parts = text.split(":")
+        if len(parts) != 3:
+            raise ValueError(f"range must be start:stop:step, got {text!r}")
+        start, stop, step = (float(p) for p in parts)
+        if not all(map(math.isfinite, (start, stop, step))):
+            raise ValueError(f"range bounds and step must be finite, got {text!r}")
+        if step <= 0:
+            raise ValueError(f"range step must be > 0, got {step}")
+        # counted before any value is built, so a huge range costs no memory
+        count = math.floor((stop - start) / step + 1e-9) + 1
+        if count > MAX_RANGE_VALUES:
+            raise ValueError(f"range {text!r} has more than {MAX_RANGE_VALUES} values")
+        # each value from its index, so float error does not accumulate
+        values = [round(start + i * step, 12) for i in range(count)]
+        if len(set(values)) < count:
+            raise ValueError(f"range {text!r} repeats values once rounded to 12 decimals")
+    values = tuple(_as_kind(v, kind) for v in values)
+    if not values:
+        raise ValueError("grid must be non-empty")
+    return values
 
 
 def validate_spec(raw: dict) -> ExperimentSpec:
-    """Fill defaults and check the fields the mode reads, collecting all
-    failures; a field it does not read is an unknown key."""
+    """Convert each field the mode reads and check it with its library rule
+    (:data:`FIELDS`), collecting all failures; a field the mode does not
+    read is an unknown key."""
     mode = raw.get("mode")
-    keys = MODES.get(mode, tuple(FLAGS))  # an unknown mode has every field checked
+    keys = MODES.get(mode, tuple(FIELDS))  # an unknown mode has every field checked
     problems = [f"{key}: unknown key; {mode} mode takes {', '.join(keys)}"
                 for key in raw if key not in ("mode", *keys)]
     if mode not in MODES:
         problems.append(f"mode: must be one of {'/'.join(MODES)}, got {mode!r}")
-    given = {key: raw[key] for key in keys if key in raw}
-
-    def grid(name, kind, minimum):
-        value = given.get(name) or ""
+    spec = {key: field[3] for key, field in FIELDS.items()}  # unread fields keep defaults
+    for key in keys:
+        value = raw.get(key, spec[key])
+        if value is None or value == "":
+            problems.append(f"{key}: required for {mode} mode")
+            continue
+        kind, rule = FIELDS[key][2], FIELDS[key][4]
+        try:  # a grid's kind is a one-tuple of its values' kind
+            value = parse_grid(value, *kind) if isinstance(kind, tuple) \
+                else _as_kind(value, kind)
+            rule(value)
+            spec[key] = value
+        except (ValueError, TypeError, OverflowError) as exc:
+            problems.append(f"{key}: {exc}")
+    if spec["format"] not in ("csv", "json"):
+        problems.append(f"format: must be csv or json, got {spec['format']!r}")
+    lams, ms = spec["lambda_grid"], spec["m_grid"]
+    if lams and ms:  # the largest lambda*(M+1), then what the walk tabulates
         try:
-            vals = parse_grid(value, kind) if isinstance(value, str) \
-                else tuple(_as_kind(v, kind) for v in value)
-        except (ValueError, TypeError) as exc:
-            problems.append(f"{name}: {exc}")
-            return ()
-        if not vals:
-            problems.append(f"{name}: grid must be non-empty")
-        for v in vals:
-            if not (math.isfinite(v) and v >= minimum):
-                problems.append(f"{name}: values must be finite and >= {minimum}, got {v}")
-                break
-        return vals
-
-    lambda_grid = grid("lambda_grid", float, 0.0) if "lambda_grid" in keys else ()
-    m_grid = grid("m_grid", int, 1)
-    if "n_sessions" in keys and lambda_grid and m_grid and not problems:
-        # every simulated row must fit the walk's arrival tables
-        try:
-            sim.check_arrivals(sim.PoissonProcess(max(lambda_grid)), max(m_grid))
+            analytic.check_grid(max(lams), max(ms))
+            if "n_sessions" in keys:
+                sim.check_arrivals(sim.PoissonProcess(max(lams)), max(ms))
         except ValueError as exc:
             problems.append(f"lambda_grid: {exc}")
-
-    def scalar(name, kind, default):
-        try:
-            return _as_kind(given.get(name, default), kind)
-        except (ValueError, TypeError) as exc:
-            problems.append(f"{name}: {exc}")
-            return default
-
-    epsilon = scalar("epsilon", float, analytic.DEFAULT_EPSILON)
-    if not (0 < epsilon <= 1):
-        problems.append(f"epsilon: must be in (0, 1], got {epsilon}")
-
-    n_sessions = scalar("n_sessions", int, 10**6)
-    if n_sessions < 1:
-        problems.append(f"n_sessions: must be >= 1, got {n_sessions}")
-
-    seed = scalar("seed", int, 0)
-    if seed < 0:
-        problems.append(f"seed: must be >= 0, got {seed}")
-
-    snr_db = given.get("snr_db")
-    if snr_db is not None:
-        try:
-            snr_db = _as_kind(snr_db, float)
-            mpr.noise_variance(snr_db)
-        except (ValueError, TypeError) as exc:
-            problems.append(f"snr_db: {exc}")
-    elif "snr_db" in keys:
-        problems.append(f"snr_db: required for {mode} mode")
-
-    output_path = given.get("output_path") or ""
-    if not output_path:
-        problems.append("output_path: required")
-
-    fmt = given.get("format", "csv")
-    if fmt not in ("csv", "json"):
-        problems.append(f"format: must be csv or json, got {fmt!r}")
-
     if problems:
         raise SpecValidationError(problems)
-    return ExperimentSpec(mode=mode, lambda_grid=lambda_grid, m_grid=m_grid,
-                          epsilon=epsilon, n_sessions=n_sessions, seed=seed,
-                          snr_db=snr_db, output_path=output_path, format=fmt)
+    return ExperimentSpec(mode=mode, **spec)
 
 
 def _theory_rows(grid: list[tuple[float, int]], epsilon: float) -> list[dict]:
@@ -280,7 +262,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
         # values stay strings for validate_spec; an unset flag is absent
         p = modes[mode] = sub.add_parser(mode, argument_default=argparse.SUPPRESS)
         for key in keys:
-            p.add_argument(FLAGS[key][0], dest=key, help=FLAGS[key][1])
+            p.add_argument(FIELDS[key][0], dest=key, help=FIELDS[key][1])
         p.add_argument("--config", help="JSON object keyed by the field names "
                                         f"{mode} reads ({', '.join(keys)})")
     return parser, modes

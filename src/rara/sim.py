@@ -28,7 +28,7 @@ import numpy as np
 from scipy import special
 
 from . import mpr
-from .analytic import SystemParams, check_count
+from .analytic import SystemParams, check_count, check_grid
 
 THRESHOLD = "threshold"
 PHY_COUPLED = "phy"
@@ -51,8 +51,7 @@ class PoissonProcess:
     lam: float
 
     def __post_init__(self):
-        if not 0 <= self.lam < math.inf:
-            raise ValueError(f"arrival rate must be finite and >= 0, got {self.lam}")
+        check_grid(self.lam)
 
     def cdf(self, k, duration):
         """P(K <= k) for the arrivals K over ``duration`` time units."""
@@ -76,8 +75,8 @@ class FinitePopulation:
         """P(K <= k) for the arrivals K over ``duration`` time units."""
         with np.errstate(divide="ignore"):  # log1p(-1) = -inf gives p = 1
             p = -np.expm1(duration * np.log1p(-self.p_active))
-        # bdtr is NaN past k = n, where the CDF is 1
-        return special.bdtr(np.minimum(k, self.n_devices), self.n_devices, p)
+        # 1 - I_p(k+1, n-k), a regularized incomplete beta, below k = n; 1 from there on
+        return np.where(k < self.n_devices, special.betaincc(k + 1.0, self.n_devices - k, p), 1.0)
 
     @classmethod
     def from_traffic(cls, lam: float, n_devices: int) -> "FinitePopulation":

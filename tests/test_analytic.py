@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -32,6 +33,13 @@ class TestSystemParams:
             A.SystemParams(0.8, 10, 0.0)
         with pytest.raises(ValueError):
             A.SystemParams(0.8, 10, 1.5)
+        # a bool is not a count, though Python treats True as 1
+        with pytest.raises(ValueError, match="relay count"):
+            A.SystemParams(0.8, True)
+        # lambda*(M+1) = inf would make every exact value NaN
+        with pytest.raises(ValueError, match="lambda\\*\\(M\\+1\\) finite"):
+            A.throughput_exact(A.SystemParams(1e308, 10))
+        A.SystemParams(1e307, 10)
 
     def test_session_lengths(self):
         durations = PARAMS_DEFAULT.durations
@@ -203,10 +211,24 @@ class TestSolveChain:
                                       A.stationary_closed_form(params).pi)
 
     def test_rejects_bad_grid(self):
+        # an infinite M and an overflowing lambda*(M+1) used to solve to NaN
         for lam, m, eps in ((-0.1, 5, 0.1), (np.inf, 5, 0.1), (0.8, 2.5, 0.1),
-                            (0.8, 0, 0.1), (0.8, 5, 0.0), (0.8, 5, 1.5)):
+                            (0.8, 0, 0.1), (0.8, 5, 0.0), (0.8, 5, 1.5),
+                            (0.8, np.inf, 0.1), (1e308, 10, 0.1)):
             with pytest.raises(ValueError):
                 A.solve_chain([0.4, lam], m, eps)
+        with pytest.raises(ValueError):
+            A.gaussian_approx(1e308, 10)
+
+    def test_check_grid_names_first_bad_value(self):
+        lam, m, eps = A.check_grid([0.5, 1.0], [[1], [4]], 0.2)
+        assert lam.shape == m.shape == eps.shape == (2, 2)
+        for args, message in ((([0.5, -2.0, -3.0],), "got -2.0"),
+                              ((0.8, [3, 2.5, 0]), "got 2.5"),
+                              ((0.8, 3, [0.5, 1.5]), "got 1.5"),
+                              (([1.0, 1e308], 10), "got 1e+308")):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                A.check_grid(*args)
 
 
 class TestOccupancy:

@@ -57,6 +57,10 @@ class TestParseGrid:
             cli.parse_grid("2.7", int)
         with pytest.raises(ValueError):
             cli.parse_grid("1:3:0.5", int)
+        # steps below the 12-decimal rounding would repeat 0.0 and 1e-12
+        with pytest.raises(ValueError, match="repeats"):
+            cli.parse_grid("0:1e-12:1e-13")
+        assert cli.parse_grid("0:1e-11:1e-12") == tuple(i * 1e-12 for i in range(11))
 
 
 class TestValidateSpec:
@@ -322,11 +326,15 @@ class TestConfigAndErrors:
         base = {"lambda_grid": "0.8", "m_grid": "2", "n_sessions": 10,
                 "output_path": str(out)}
         cfg = tmp_path / "cfg.json"
+        # JSON true is not a count, a rate or a path, though Python reads it as 1
         for field, value in [("n_sessions", 2.5), ("seed", 1.5), ("epsilon", "abc"),
-                             ("n_sessions", "many"), ("seed", -1)]:
+                             ("n_sessions", "many"), ("seed", -1), ("seed", True),
+                             ("n_sessions", True), ("epsilon", True),
+                             ("lambda_grid", [0.8, True]), ("m_grid", [False]),
+                             ("output_path", True), ("format", False)]:
             cfg.write_text(json.dumps({**base, field: value}))
             assert cli.main(["sim", "--config", str(cfg)]) == 2
-            assert field in capsys.readouterr().err
+            assert f"error: {field}: " in capsys.readouterr().err
         cfg.write_text(json.dumps(base))
         assert cli.main(["sim", "--config", str(cfg), "--seed", "-1"]) == 2
         assert "seed" in capsys.readouterr().err
@@ -334,6 +342,13 @@ class TestConfigAndErrors:
             rc = cli.main(["phy", "--m", "2", f"--snr-db={snr}", "--out", str(out)])
             assert rc == 2
             assert "snr_db" in capsys.readouterr().err
+        # lambda*(M+1) overflows (every exact column read nan), also when only
+        # the largest lambda and M together overflow
+        for mode, lam, m in (("theory", "1e308", "10"), ("compare", "0.8,1e308", "10"),
+                             ("theory", "1e307", "1,20")):
+            rc = cli.main([mode, "--lambda", lam, "--m", m, "--out", str(out)])
+            assert rc == 2
+            assert "error: lambda_grid: traffic intensities" in capsys.readouterr().err
         assert not out.exists()
 
     def test_config_not_an_object(self, capsys, tmp_path):

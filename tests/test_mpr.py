@@ -31,13 +31,17 @@ class TestGenerateChannels:
                 mpr.generate_channels(k, m, 0)
 
     def test_unit_mean_power(self):
-        # law of large numbers on |h|^2 over many seeds
-        # every seed draws the same shapes, so the pooled mean equals the
-        # mean of the per-seed means
-        channels = [mpr.generate_channels(2, 2, s) for s in range(100_000)]
+        # law of large numbers on |h|^2 over 1e5 (2, 2) channels, drawn as
+        # one batch from the sampler generate_channels wraps
+        channels = mpr._draw_channels(np.random.default_rng(0), 2, 2, (100_000,))
         for gain in ("direct", "device_relay", "relay_bs"):
-            draws = np.array([getattr(ch, gain) for ch in channels])
-            assert abs(np.mean(np.abs(draws) ** 2) - 1.0) < 0.02
+            assert abs(np.mean(np.abs(getattr(channels, gain)) ** 2) - 1.0) < 0.02
+        # generate_channels(k, m, s) is that sampler on default_rng(s), bit for bit
+        for s in range(20):
+            ch, ref = mpr.generate_channels(2, 3, s), mpr._draw_channels(
+                np.random.default_rng(s), 2, 3)
+            for gain in ("direct", "device_relay", "relay_bs"):
+                assert np.array_equal(getattr(ch, gain), getattr(ref, gain))
 
 
 class TestCompositeMatrix:

@@ -61,7 +61,8 @@ class TestCdfTable:
             k = np.arange(table.shape[1])
             for row, t in zip(table, durations):
                 p_t = -np.expm1(t * np.log1p(-p_a))
-                assert np.array_equal(row, special.bdtr(k, n, p_t))
+                # stats.binom.cdf is the oracle; bdtr is off by up to 2e-10 at large n
+                np.testing.assert_allclose(row, stats.binom.cdf(k, n, p_t), rtol=0, atol=1e-13)
                 assert p_t == pytest.approx(1 - (1 - p_a) ** t, rel=1e-12)
             assert np.all(table[:, -1] == 1.0)
 
@@ -77,13 +78,12 @@ class TestCdfTable:
         assert sim._cdf_table(sim.FinitePopulation(5, 0.5), durations).shape[1] == 6
 
     def test_rejects_untabulable_laws(self):
-        # a Poisson table would need ~2e7 entries per row; a binomial one
-        # reaches exactly 1.0 only at k = n, so n past the cap is refused
+        # a Poisson table would need ~2e7 entries per row and is refused; a
+        # binomial one reaches 1.0 near its mean, so n past the cap still runs
         with pytest.raises(ValueError, match="tabulates"):
             sim.SimConfig(A.SystemParams(1e7, 1), sim.PoissonProcess(1e7), 100)
-        with pytest.raises(ValueError, match="tabulates"):
-            sim.SimConfig(A.SystemParams(0.8, 1),
-                          sim.FinitePopulation.from_traffic(0.8, sim.MAX_ARRIVALS + 1), 100)
+        sim.SimConfig(A.SystemParams(0.8, 1),
+                      sim.FinitePopulation.from_traffic(0.8, sim.MAX_ARRIVALS + 1), 100)
 
     @pytest.mark.parametrize("model", LAWS, ids=["poisson", "finite"])
     def test_conditional_pmf(self, model):
@@ -142,6 +142,11 @@ class TestRun:
         for seed in (1.5, -1):
             with pytest.raises(ValueError, match="seed"):
                 sim.SimConfig(PARAMS_DEFAULT, sim.PoissonProcess(0.8), 100, seed=seed)
+        # bools are not counts: True would run one session, False seed 0
+        with pytest.raises(ValueError, match="session count"):
+            sim.SimConfig(PARAMS_DEFAULT, sim.PoissonProcess(0.8), n_sessions=True, seed=False)
+        with pytest.raises(ValueError, match="seed"):
+            sim.SimConfig(PARAMS_DEFAULT, sim.PoissonProcess(0.8), 100, seed=False)
 
     def test_rejects_mismatched_rate(self):
         # the walk draws at the process's rate, so params.lam would be ignored
