@@ -11,9 +11,10 @@ Two broadcast kernels cover a whole (lambda, M, epsilon) grid in one call:
 throughput, outage, both means), and :func:`gaussian_approx` evaluates the
 large-M Gaussian approximation of throughput and outage.  The single-point
 functions (``throughput_exact``, ``outage_exact``, ``throughput_approx``,
-...) evaluate a batch of one through the same code, so a grid point and a
-direct call give the same bits.  :func:`stationary_power_iteration` is the
-independent cross-check of the closed form.
+...) run the same kernel on numpy float64 scalars: every operation is
+elementwise, so a grid point and a direct call give the same bits.
+:func:`stationary_power_iteration` is the independent cross-check of the
+closed form.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import enum
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,12 +31,14 @@ from scipy import special
 DEFAULT_EPSILON = 0.1
 
 
-def check_count(name: str, value, minimum: int) -> None:
+def check_count(name: str, value, minimum: int, maximum: float = math.inf) -> None:
     """Refuse a count that is not an integer (a float, even 2.0, or a bool)
-    or is below ``minimum``."""
+    or lies outside [minimum, maximum]."""
     if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
             and value >= minimum):
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    if value > maximum:
+        raise ValueError(f"{name} must be at most {maximum:g}, got {value!r}")
 
 
 class ConvergenceError(RuntimeError):
@@ -51,10 +55,11 @@ class SystemParams:
 
     def __post_init__(self):
         # the scalar form of check_grid, kept free of numpy for speed
-        check_count("relay count", self.m_relays, 1)
+        check_count("relay count", self.m_relays, 1, maximum=sys.float_info.max)
         if not (0 < self.epsilon <= 1):
             raise ValueError(f"idle-session fraction must be in (0, 1], got {self.epsilon}")
-        if not (self.lam >= 0 and math.isfinite(self.lam * (self.m_relays + 1.0))):
+        # M + 1 is an int: an int lambda past the float range compares, never overflows
+        if not (self.lam >= 0 and self.lam * (self.m_relays + 1) <= sys.float_info.max):
             raise ValueError("traffic intensity must be >= 0 with lambda*(M+1) finite, "
                              f"got {self.lam}")
 
@@ -110,8 +115,14 @@ def check_grid(lam, m_relays=1, epsilon=DEFAULT_EPSILON):
     """Broadcast a (lambda, M, epsilon) grid to float arrays, raising a
     ValueError that names its first value outside the model.  The array form
     of the rule :class:`SystemParams` applies to one point."""
-    lam, m, eps = np.broadcast_arrays(
-        *(np.asarray(v, dtype=float) for v in (lam, m_relays, epsilon)))
+    grid = []
+    for name, values in (("traffic intensities", lam), ("relay counts", m_relays),
+                         ("idle-session fractions", epsilon)):
+        try:
+            grid.append(np.asarray(values, dtype=float))
+        except OverflowError:  # a Python int past the float range
+            raise ValueError(f"{name} must fit in a float, got {values!r}") from None
+    lam, m, eps = np.broadcast_arrays(*grid)
     with np.errstate(over="ignore", invalid="ignore"):  # inf % 1, lambda*(M+1) overflow
         rules = (("relay counts must be integers >= 1", m, (m >= 1) & (m % 1 == 0)),
                  ("idle-session fractions must be in (0, 1]", eps, (eps > 0) & (eps <= 1)),
@@ -123,39 +134,23 @@ def check_grid(lam, m_relays=1, epsilon=DEFAULT_EPSILON):
     return lam, m, eps
 
 
-def _batch_of_one(params: SystemParams):
-    return (np.array([params.lam], dtype=float),
-            np.array([params.m_relays], dtype=float),
-            np.array([params.epsilon], dtype=float))
+def _point(params: SystemParams):
+    # numpy scalars, not Python floats: they follow errstate, so lambda = 0
+    # divides to inf in _gaussian as it does on a grid
+    return np.float64(params.lam), np.float64(params.m_relays), np.float64(params.epsilon)
 
 
-def _durations(m, eps):
-    """Session lengths (epsilon, 1, M+1) of Idle, Single and the long
-    (Success or Unsuccess) states, stacked on a leading axis."""
-    return np.array([eps, np.ones_like(eps), m + 1.0])
-
-
-def _outcomes(lam, m, durations):
-    """Outcome probabilities of the session that follows one of each length
-    in ``durations`` (a leading axis before the grid's shape): the Poisson
-    mean mu of its arrivals, then P(X=0), P(X=1), P(X>=2), P(2<=X<=M+1) and
-    P(X>=M+2).  Tails come from pdtrc, so they keep relative precision."""
-    mu = lam * durations
+def _outcomes(lam, m, eps):
+    """Outcome probabilities of the session that follows one of length
+    epsilon, 1 and M+1 (a leading axis before the grid's shape): P(X=0),
+    P(X=1), P(X>=2), P(2<=X<=M+1) and P(X>=M+2) for its Poisson arrivals X
+    of mean mu, then the packets it decodes, sum_{k<=M+1} k P(X=k).  Tails
+    come from pdtrc, so they keep relative precision."""
+    mu = np.array([lam * eps, lam, lam * (m + 1.0)])
     p0 = special.pdtr(0, mu)
     long = special.pdtrc(1, mu)
     pu = special.pdtrc(m + 1.0, mu)
-    return mu, p0, mu * p0, long, np.maximum(long - pu, 0.0), pu
-
-
-def _moments(mu, m, eps, pi, pu):
-    """Mean session length, mean success count and outage of ``pi``."""
-    v = (pi[..., 0], pi[..., 1], pi[..., 2] + pi[..., 3])
-    t_bar = eps * v[0] + v[1] + (m + 1.0) * v[2]
-    # packets decoded after a session of each length: sum_{k<=M+1} k P(X=k)
-    decoded = mu * special.pdtr(m, mu)
-    k_bar = v[0] * decoded[0] + v[1] * decoded[1] + v[2] * decoded[2]
-    outage = v[0] * pu[0] + v[1] * pu[1] + v[2] * pu[2]
-    return t_bar, k_bar, outage
+    return p0, mu * p0, long, np.maximum(long - pu, 0.0), pu, mu * special.pdtr(m, mu)
 
 
 def solve_chain(lam, m_relays, epsilon=DEFAULT_EPSILON) -> ChainSolution:
@@ -175,7 +170,7 @@ def solve_chain(lam, m_relays, epsilon=DEFAULT_EPSILON) -> ChainSolution:
 
 
 def _solve(lam, m, eps) -> ChainSolution:
-    mu, to_idle, to_single, to_long, ps, pu = _outcomes(lam, m, _durations(m, eps))
+    to_idle, to_single, to_long, ps, pu, decoded = _outcomes(lam, m, eps)
     # q_xy: probability that the session after lumped state x is in state y
     _, q_si, q_li = to_idle
     q_is, _, q_ls = to_single
@@ -186,14 +181,17 @@ def _solve(lam, m, eps) -> ChainSolution:
     w_success = w_idle * ps[0] + w_single * ps[1] + w_long * ps[2]
     w_outage = w_idle * pu[0] + w_single * pu[1] + w_long * pu[2]
     total = w_idle + w_single + w_success + w_outage
-    pi = np.stack([w_idle, w_single, w_success, w_outage], axis=-1) / total[..., None]
-    t_bar, k_bar, outage = _moments(mu, m, eps, pi, pu)
-    return ChainSolution(pi=pi, throughput=k_bar / t_bar, outage=outage,
-                         mean_session_length=t_bar, mean_success_count=k_bar)
+    pi = [w / total for w in (w_idle, w_single, w_success, w_outage)]
+    v_long = pi[2] + pi[3]
+    t_bar = eps * pi[0] + pi[1] + (m + 1.0) * v_long
+    k_bar = pi[0] * decoded[0] + pi[1] * decoded[1] + v_long * decoded[2]
+    outage = pi[0] * pu[0] + pi[1] * pu[1] + v_long * pu[2]
+    return ChainSolution(pi=np.moveaxis(np.array(pi), 0, -1), throughput=k_bar / t_bar,
+                         outage=outage, mean_session_length=t_bar, mean_success_count=k_bar)
 
 
 def _solve_one(params: SystemParams) -> ChainSolution:
-    return _solve(*_batch_of_one(params))
+    return _solve(*_point(params))
 
 
 def transition_matrix(params: SystemParams) -> np.ndarray:
@@ -202,10 +200,8 @@ def transition_matrix(params: SystemParams) -> np.ndarray:
     Rows condition on the previous session's length, so the Success and
     Unsuccess rows (both of length M+1) are identical.
     """
-    lam, m, eps = _batch_of_one(params)
-    _, p0, p1, _, ps, pu = _outcomes(lam, m, _durations(m, eps))
-    rows = np.stack([p0[:, 0], p1[:, 0], ps[:, 0], pu[:, 0]], axis=-1)
-    return rows[[0, 1, 2, 2]]
+    p0, p1, _, ps, pu, _ = _outcomes(*_point(params))
+    return np.array([p0, p1, ps, pu]).T[[0, 1, 2, 2]]
 
 
 def stationary_power_iteration(p: np.ndarray, tol: float = 1e-14,
@@ -246,13 +242,13 @@ def stationary_closed_form(params: SystemParams) -> StationaryDistribution:
     absorbed in Idle and pi = (1, 0, 0, 0).
     """
     method = "degenerate" if params.lam == 0 else "closed_form"
-    return StationaryDistribution(_solve_one(params).pi[0], method=method)
+    return StationaryDistribution(_solve_one(params).pi, method=method)
 
 
 def outage_exact(params: SystemParams) -> float:
     """Probability of a session with >= M+2 contenders (undecodable even with
     all M relay forwards), from the pdtrc tail after each state."""
-    return float(_solve_one(params).outage[0])
+    return float(_solve_one(params).outage)
 
 
 def throughput_exact(params: SystemParams) -> PerformanceMetrics:
@@ -262,10 +258,10 @@ def throughput_exact(params: SystemParams) -> PerformanceMetrics:
     equals the first moment sum_{k=1}^{M+1} k Q(k) of the occupancy Q."""
     sol = _solve_one(params)
     return PerformanceMetrics(
-        throughput=float(sol.throughput[0]),
-        outage=float(sol.outage[0]),
-        mean_session_length=float(sol.mean_session_length[0]),
-        mean_success_count=float(sol.mean_success_count[0]),
+        throughput=float(sol.throughput),
+        outage=float(sol.outage),
+        mean_session_length=float(sol.mean_session_length),
+        mean_success_count=float(sol.mean_success_count),
     )
 
 
@@ -288,12 +284,12 @@ def _gaussian(lam, m):
 
 def throughput_approx(params: SystemParams) -> float:
     """Large-M Gaussian approximation of the throughput at one point."""
-    return float(_gaussian(*_batch_of_one(params)[:2])[0][0])
+    return float(_gaussian(*_point(params)[:2])[0])
 
 
 def outage_approx(params: SystemParams) -> float:
     """Large-M Gaussian approximation of the outage probability at one point."""
-    return float(_gaussian(*_batch_of_one(params)[:2])[1][0])
+    return float(_gaussian(*_point(params)[:2])[1])
 
 
 def asymptotic_throughput(lam):

@@ -230,10 +230,8 @@ def render(columns: list[str], rows: list[dict], fmt: str) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
-    for row in rows:
-        # repr round-trips doubles exactly
-        writer.writerow([repr(v) if isinstance(v, float) else v
-                         for v in row.values()])
+    # csv writes a float with repr, which round-trips doubles exactly
+    writer.writerows(row.values() for row in rows)
     return buf.getvalue()
 
 

@@ -22,6 +22,7 @@ below about 2**-53 cannot be drawn.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,7 +68,7 @@ class FinitePopulation:
     p_active: float
 
     def __post_init__(self):
-        check_count("device count", self.n_devices, 1)
+        check_count("device count", self.n_devices, 1, maximum=sys.float_info.max)
         if not (0 <= self.p_active <= 1):
             raise ValueError(f"activation probability must be in [0, 1], got {self.p_active}")
 
@@ -75,8 +76,10 @@ class FinitePopulation:
         """P(K <= k) for the arrivals K over ``duration`` time units."""
         with np.errstate(divide="ignore"):  # log1p(-1) = -inf gives p = 1
             p = -np.expm1(duration * np.log1p(-self.p_active))
-        # 1 - I_p(k+1, n-k), a regularized incomplete beta, below k = n; 1 from there on
-        return np.where(k < self.n_devices, special.betaincc(k + 1.0, self.n_devices - k, p), 1.0)
+        # 1 - I_p(k+1, n-k), a regularized incomplete beta, below k = n; 1 from
+        # there on.  n is a float, so n - k cannot overflow int64 past n = 2**63
+        n = float(self.n_devices)
+        return np.where(k < n, special.betaincc(k + 1.0, n - k, p), 1.0)
 
     @classmethod
     def from_traffic(cls, lam: float, n_devices: int) -> "FinitePopulation":

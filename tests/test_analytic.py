@@ -40,6 +40,11 @@ class TestSystemParams:
         with pytest.raises(ValueError, match="lambda\\*\\(M\\+1\\) finite"):
             A.throughput_exact(A.SystemParams(1e308, 10))
         A.SystemParams(1e307, 10)
+        # ints past the float range used to raise OverflowError
+        with pytest.raises(ValueError, match="relay count must be at most"):
+            A.SystemParams(0.8, 10**400)
+        with pytest.raises(ValueError, match="lambda\\*\\(M\\+1\\) finite"):
+            A.SystemParams(10**400, 10)
 
     def test_session_lengths(self):
         durations = PARAMS_DEFAULT.durations
@@ -196,25 +201,40 @@ class TestStationary:
 
 class TestSolveChain:
     def test_broadcast_grid_matches_single_points(self):
-        lams = np.array([[0.0], [0.3], [1.2]])
-        ms = np.array([1, 7, 400])
-        sol = A.solve_chain(lams, ms, 0.5)
-        assert sol.pi.shape == (3, 3, 4) and sol.throughput.shape == (3, 3)
-        for a, lam in enumerate(lams[:, 0]):
-            for b, m in enumerate(ms):
-                params = A.SystemParams(float(lam), int(m), 0.5)
-                met = A.throughput_exact(params)
-                assert sol.throughput[a, b] == met.throughput
-                assert sol.outage[a, b] == met.outage
-                assert sol.mean_success_count[a, b] == met.mean_success_count
-                assert np.array_equal(sol.pi[a, b],
-                                      A.stationary_closed_form(params).pi)
+        lams = np.array([[0.0], [0.3], [1.2], [2.0]])
+        ms = np.array([1, 7, 400, 3200])
+        for eps in (0.5, 1.0):
+            sol = A.solve_chain(lams, ms, eps)
+            assert sol.pi.shape == (4, 4, 4) and sol.throughput.shape == (4, 4)
+            tp, q = A.gaussian_approx(lams, ms)
+            for a, lam in enumerate(lams[:, 0]):
+                for b, m in enumerate(ms):
+                    params = A.SystemParams(float(lam), int(m), eps)
+                    met = A.throughput_exact(params)
+                    assert sol.throughput[a, b] == met.throughput
+                    assert sol.outage[a, b] == met.outage == A.outage_exact(params)
+                    assert sol.mean_session_length[a, b] == met.mean_session_length
+                    assert sol.mean_success_count[a, b] == met.mean_success_count
+                    assert tp[a, b] == A.throughput_approx(params)
+                    assert q[a, b] == A.outage_approx(params)
+                    # Python floats: no np.float64 leaks out (its repr differs)
+                    for v in (*vars(met).values(), A.outage_exact(params),
+                              A.throughput_approx(params), A.outage_approx(params)):
+                        assert type(v) is float
+                    pi = A.stationary_closed_form(params).pi
+                    assert pi.shape == (4,) and pi.dtype == np.float64
+                    assert np.array_equal(sol.pi[a, b], pi)
+                    p = A.transition_matrix(params)
+                    assert p.shape == (4, 4) and p.dtype == np.float64
+                    assert p.flags.c_contiguous
 
     def test_rejects_bad_grid(self):
         # an infinite M and an overflowing lambda*(M+1) used to solve to NaN
         for lam, m, eps in ((-0.1, 5, 0.1), (np.inf, 5, 0.1), (0.8, 2.5, 0.1),
                             (0.8, 0, 0.1), (0.8, 5, 0.0), (0.8, 5, 1.5),
-                            (0.8, np.inf, 0.1), (1e308, 10, 0.1)):
+                            (0.8, np.inf, 0.1), (1e308, 10, 0.1),
+                            # ints past the float range used to raise OverflowError
+                            (0.8, 10**400, 0.1), (10**400, 5, 0.1)):
             with pytest.raises(ValueError):
                 A.solve_chain([0.4, lam], m, eps)
         with pytest.raises(ValueError):

@@ -27,6 +27,16 @@ class TestArrivalModels:
         # numpy's binomial would silently draw with n = 2
         with pytest.raises(ValueError):
             sim.FinitePopulation(2.5, 0.1)
+        # float(n) would overflow in cdf; past 2**63, n - k used to overflow int64
+        with pytest.raises(ValueError, match="device count"):
+            sim.FinitePopulation(10**400, 0.1)
+        sim.check_arrivals(sim.FinitePopulation(10**30, 1e-30), 10)
+        durations = A.SystemParams(1.0, 10).durations[:3]
+        table = sim._cdf_table(sim.FinitePopulation(10**30, 1e-30), durations)
+        k = np.arange(table.shape[1])
+        for row, t in zip(table, durations):
+            # a binomial of mean t this large is Poisson(t) to within 1e-29
+            np.testing.assert_allclose(row, special.pdtr(k, t), rtol=0, atol=1e-15)
 
     def test_from_traffic_matches_rate(self):
         fp = sim.FinitePopulation.from_traffic(0.8, 400)
