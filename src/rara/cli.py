@@ -23,6 +23,7 @@ import math
 import os
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -194,26 +195,55 @@ def _theory_rows(grid: list[tuple[float, int]], epsilon: float) -> list[dict]:
             for values in zip(*(c.tolist() for c in columns))]
 
 
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _map_rows(fn, grid: list, seeds: list[int]) -> list:
+    """``[fn(cell, seed) for cell, seed in zip(grid, seeds)]``, the calls
+    spread over one thread per CPU, at most one per row.  Results come back
+    in grid order, so the list does not depend on the thread count; the
+    first row to raise, in grid order, raises here."""
+    with ThreadPoolExecutor(max(1, min(_cpus(), len(grid)))) as pool:
+        return list(pool.map(fn, grid, seeds))
+
+
 def build_rows(spec: ExperimentSpec) -> tuple[list[str], list[dict]]:
     """Evaluate the experiment grid; rows follow grid order (lambda outer).
-    Every cell is a Python scalar."""
+    Every cell is a Python scalar.
+
+    Each phy or simulated row draws from its own seed of
+    ``sim.derive_seeds``, so the rows are evaluated concurrently, on as many
+    threads as the process has CPUs (numpy releases the GIL in the work that
+    dominates them); the output does not depend on the thread count.
+    """
     if spec.mode == "phy":
         grid = [(k, m) for m in spec.m_grid for k in range(1, m + 2)]
-        rows = []
-        for (k, m), row_seed in zip(grid, sim.derive_seeds(spec.seed, len(grid))):
-            ser = mpr.symbol_error_rate(k, m, spec.snr_db, spec.n_sessions, row_seed)
-            rows.append(dict(zip(PHY_COLUMNS, (k, m, spec.snr_db, ser,
-                                               spec.n_sessions, row_seed))))
-        return PHY_COLUMNS, rows
+        seeds = sim.derive_seeds(spec.seed, len(grid))
+        sers = _map_rows(lambda cell, seed: mpr.symbol_error_rate(
+            *cell, spec.snr_db, spec.n_sessions, seed), grid, seeds)
+        return PHY_COLUMNS, [dict(zip(PHY_COLUMNS, (k, m, spec.snr_db, ser,
+                                                    spec.n_sessions, seed)))
+                             for (k, m), ser, seed in zip(grid, sers, seeds)]
 
     grid = [(lam, m) for lam in spec.lambda_grid for m in spec.m_grid]
     rows = _theory_rows(grid, spec.epsilon)
     if spec.mode == "theory":
         return THEORY_COLUMNS, rows
     extra = SIM_COLUMNS + (ERROR_COLUMNS if spec.mode == "compare" else [])
-    for row, (lam, m), run_seed in zip(rows, grid, sim.derive_seeds(spec.seed, len(grid))):
-        rep = sim.run(sim.SimConfig(analytic.SystemParams(lam, m, spec.epsilon),
-                                    sim.PoissonProcess(lam), spec.n_sessions, run_seed))
+    seeds = sim.derive_seeds(spec.seed, len(grid))
+
+    def simulate(cell, seed):
+        lam, m = cell
+        return sim.run(sim.SimConfig(analytic.SystemParams(lam, m, spec.epsilon),
+                                     sim.PoissonProcess(lam), spec.n_sessions, seed))
+
+    reports = _map_rows(simulate, grid, seeds)
+    for row, rep, run_seed in zip(rows, reports, seeds):
         # sim mode keeps the first len(SIM_COLUMNS) values
         row.update(zip(extra, (
             rep.throughput_hat, rep.stderr_throughput, rep.outage_hat,

@@ -11,10 +11,12 @@ Channels are i.i.d. circularly-symmetric complex Gaussian with unit variance
 one packet.  Relays forward with unit gain.
 
 Channels, reception and detection broadcast over leading batch axes, one
-collision per index; :func:`symbol_errors` alone draws trials (in batches
-of bounded size) and defines a decoded collision.  Detection solves the
-normal equations through the inverse Gram matrix and keeps an SVD only for
-the rare trial whose condition bound nears the decodability threshold.
+collision per index; :func:`symbol_errors` alone draws trials and defines a
+decoded collision.  It draws them in batches of bounded size, which fix the
+random stream, and decodes each batch in smaller blocks, which bound the
+detector's temporaries and change no result.  Detection solves the normal
+equations through the inverse Gram matrix and keeps an SVD only for the
+rare trial whose condition bound nears the decodability threshold.
 """
 
 from __future__ import annotations
@@ -37,9 +39,13 @@ QPSK = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / math.sqrt(2.0)
 # then has relative error <~ eps * b^2 = 2e-8 before one refinement step.
 _SCREEN = 1e4
 
-# Trials per batch of symbol_errors up to K(M+1) = 81, the (9, 8) size this
-# was tuned on; fewer beyond, so a batch holds at most _BATCH * 81 entries.
+# Trials per draw batch and per decode block of symbol_errors up to
+# K(M+1) = 81, the (9, 8) size these were tuned on; fewer beyond, so a batch
+# holds at most _BATCH * 81 matrix entries and a block _BLOCK * 81.  The draw
+# batch fixes the order of the random stream; the decode block only bounds
+# the detector's temporaries.
 _BATCH = 8192
+_BLOCK = 512
 
 
 class UnderdeterminedError(ValueError):
@@ -228,24 +234,37 @@ def symbol_errors(k_devices: int, m_relays: int, snr_db: float, trials: int,
 
     A symbol is wrong if its hard decision is wrong or its trial's composite
     matrix has cond >= CONDITION_THRESHOLD; a collision decodes iff none of
-    its flags is set.  Trials are drawn in batches of 8192, fewer when
-    K(M+1) > 81, so a batch holds at most 8192 * 81 matrix entries.  SNR is
-    per received symbol, for relay and BS noise alike, with the domain of
-    :func:`noise_variance`.
+    its flags is set.  Channels, symbols and noise are drawn in batches of
+    8192 trials, and each batch is decoded in blocks of 512; both sizes
+    shrink in proportion when K(M+1) > 81, so a batch holds at most
+    8192 * 81 matrix entries and a block 512 * 81.  Only the draw batch
+    shapes the random stream, and :func:`detect` decodes each trial on its
+    own, so the flags do not depend on the block size (bar a block holding
+    an exactly singular Gram matrix, which :func:`detect` sends whole to the
+    SVD).  SNR is per received symbol, for relay and BS noise alike, with
+    the domain of :func:`noise_variance`.
     """
     for name, count in (("device count", k_devices), ("relay count", m_relays),
                         ("trials", trials)):
         check_count(name, count, 1)
     noise_var = noise_variance(snr_db)
-    size = max(1, _BATCH * 81 // max(81, k_devices * (m_relays + 1)))
+    entries = max(81, k_devices * (m_relays + 1))
+    size = max(1, _BATCH * 81 // entries)
+    block = max(1, _BLOCK * 81 // entries)
     errors = np.empty((trials, k_devices), dtype=bool)
     for start in range(0, trials, size):
         n = min(size, trials - start)
         ch = _draw_channels(rng, k_devices, m_relays, (n,))
-        h = composite_matrix(ch)
         symbols = QPSK[rng.integers(0, 4, (n, k_devices))]
-        estimates, ok = detect(h, simulate_reception(ch, symbols, noise_var, rng))
-        errors[start:start + n] = (nearest_qpsk(estimates) != symbols) | ~ok[:, None]
+        r = simulate_reception(ch, symbols, noise_var, rng)
+        batch_errors = errors[start:start + n]
+        for lo in range(0, n, block):
+            part = slice(lo, lo + block)
+            h = composite_matrix(ChannelRealization(
+                ch.direct[part], ch.device_relay[part], ch.relay_bs[part]))
+            estimates, ok = detect(h, r[part])
+            batch_errors[part] = (nearest_qpsk(estimates) != symbols[part]) | ~ok[:, None]
+        del ch, symbols, r  # so the next batch is not drawn beside this one
     return errors
 
 

@@ -68,7 +68,7 @@ class FinitePopulation:
     p_active: float
 
     def __post_init__(self):
-        check_count("device count", self.n_devices, 1, maximum=sys.float_info.max)
+        _check_devices(self.n_devices)
         if not (0 <= self.p_active <= 1):
             raise ValueError(f"activation probability must be in [0, 1], got {self.p_active}")
 
@@ -84,7 +84,14 @@ class FinitePopulation:
     @classmethod
     def from_traffic(cls, lam: float, n_devices: int) -> "FinitePopulation":
         """Population whose aggregate rate n * p matches a target intensity."""
+        _check_devices(n_devices)  # before lam / n can divide by 0 or overflow
         return cls(n_devices=n_devices, p_active=lam / n_devices)
+
+
+def _check_devices(n_devices) -> None:
+    """Refuse a device count that is not an integer >= 1 or whose float,
+    which ``FinitePopulation.cdf`` computes with, would overflow."""
+    check_count("device count", n_devices, 1, maximum=sys.float_info.max)
 
 
 @dataclass(frozen=True)

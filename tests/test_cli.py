@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from rara import cli
+from rara import cli, mpr, sim
 
 # A working argument list per mode, each flag one the mode reads.
 MODE_ARGS = {
@@ -216,6 +216,45 @@ class TestPhyMode:
         assert a.read_bytes() == b.read_bytes()
         seeds = [int(r["seed"]) for r in read_csv(a)]
         assert len(seeds) == 5 and len(set(seeds)) == 5
+
+
+class TestConcurrentRows:
+    ARGS = [
+        ["phy", "--m", "1,2,4", "--snr-db", "20", "--sessions", "2000", "--seed", "3"],
+        ["compare", "--lambda", "0.4,0.8", "--m", "1:5:1", "--sessions", "5000",
+         "--seed", "4"],
+    ]
+
+    @pytest.mark.parametrize("args", ARGS, ids=["phy", "compare"])
+    def test_thread_count_invisible(self, tmp_path, monkeypatch, args):
+        default = tmp_path / "default.csv"
+        assert cli.main(args + ["--out", str(default)]) == 0
+        # one thread, and more threads than this host may have cores
+        for cpus in (1, 4):
+            monkeypatch.setattr(cli, "_cpus", lambda: cpus)
+            out = tmp_path / f"cpus{cpus}.csv"
+            assert cli.main(args + ["--out", str(out)]) == 0
+            assert out.read_bytes() == default.read_bytes()
+
+    # the rows that fail: (k, M) = (2, 2) of phy, and M = 3 of compare
+    @pytest.mark.parametrize("args, module, name, fails", [
+        (ARGS[0], mpr, "symbol_error_rate", lambda k, m, *rest: (k, m) == (2, 2)),
+        (ARGS[1], sim, "run", lambda config: config.params.m_relays == 3),
+    ], ids=["phy", "compare"])
+    def test_failing_row_raises_and_writes_nothing(self, tmp_path, monkeypatch,
+                                                   args, module, name, fails):
+        real = getattr(module, name)
+
+        def failing(*a):
+            if fails(*a):
+                raise RuntimeError("row failed")
+            return real(*a)
+
+        monkeypatch.setattr(module, name, failing)
+        monkeypatch.setattr(cli, "_cpus", lambda: 4)
+        with pytest.raises(RuntimeError, match="row failed"):
+            cli.main(args + ["--out", str(tmp_path / "out.csv")])
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestJsonFormat:

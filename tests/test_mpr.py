@@ -217,6 +217,21 @@ class TestDetect:
         # the stacked batch holds trials on both sides of the threshold
         assert 0 < np.count_nonzero(ok) < len(ok)
 
+    def test_slices_match_whole_batch(self):
+        # each trial is decoded on its own: a batch gives the same bits as
+        # its slices, for trials cleared by the screen and for trials on
+        # either side of the threshold that take the SVD
+        rng = np.random.default_rng(21)
+        cn = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        h = cn(300, 5, 4)
+        h[::7, :, 2] *= 10.0 ** -rng.integers(3, 13, 43)[:, None]
+        r = cn(300, 5)
+        estimates, ok = mpr.detect(h, r)
+        parts = [mpr.detect(h[lo:lo + 64], r[lo:lo + 64]) for lo in range(0, 300, 64)]
+        assert np.concatenate([e for e, _ in parts]).tobytes() == estimates.tobytes()
+        assert np.array_equal(np.concatenate([o for _, o in parts]), ok)
+        assert 0 < np.count_nonzero(ok) < len(ok)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(-math.inf, 1.0)])
     def test_rejects_non_finite_channel(self, bad):
         rng = np.random.default_rng(4)
@@ -253,14 +268,36 @@ class TestSymbolErrorRate:
     def test_batch_memory_is_bounded(self):
         # K(M+1) = 289 cuts the 8192 trials into batches of 2296, so the
         # arrays in flight stay near those of 8192 trials at (9, 8); one
-        # batch of all 8192 trials would peak near 200 MB
-        tracemalloc.start()
-        try:
-            mpr.symbol_errors(17, 16, 20.0, 8192, np.random.default_rng(1))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 100e6
+        # batch of all 8192 trials would peak near 200 MB.  At (9, 8) the
+        # one draw batch holds about 11 MB of channels and is decoded in
+        # blocks of 512 trials; decoding it whole peaked near 60 MB
+        for k, m, bound in ((17, 16, 100e6), (9, 8, 30e6)):
+            tracemalloc.start()
+            try:
+                mpr.symbol_errors(k, m, 20.0, 8192, np.random.default_rng(1))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound, (k, m)
+
+    def test_decode_blocks_match_whole_batch_decode(self):
+        # K(M+1) = 289 draws batches of 2296 trials and decodes blocks of
+        # 143: these trials span two draw batches and 22 decode blocks, yet
+        # match decoding each draw batch whole
+        k, m, snr_db = 17, 16, 12.0
+        size = mpr._BATCH * 81 // (k * (m + 1))
+        trials = size + 700
+        errors = mpr.symbol_errors(k, m, snr_db, trials, np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+        whole = []
+        for n in (size, trials - size):
+            ch = mpr._draw_channels(rng, k, m, (n,))
+            s = mpr.QPSK[rng.integers(0, 4, (n, k))]
+            r = mpr.simulate_reception(ch, s, mpr.noise_variance(snr_db), rng)
+            estimates, ok = mpr.detect(mpr.composite_matrix(ch), r)
+            whole.append((mpr.nearest_qpsk(estimates) != s) | ~ok[:, None])
+        assert np.array_equal(errors, np.concatenate(whole))
+        assert 0 < np.count_nonzero(errors) < errors.size
 
     def test_rejects_nan_and_minus_inf_snr(self):
         # +inf is the noiseless case; these two would give NaN observations

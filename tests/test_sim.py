@@ -30,6 +30,11 @@ class TestArrivalModels:
         # float(n) would overflow in cdf; past 2**63, n - k used to overflow int64
         with pytest.raises(ValueError, match="device count"):
             sim.FinitePopulation(10**400, 0.1)
+        # from_traffic divides by n, so it checks n first: not a
+        # ZeroDivisionError or an OverflowError
+        for n in (0, 10**400):
+            with pytest.raises(ValueError, match="device count"):
+                sim.FinitePopulation.from_traffic(0.8, n)
         sim.check_arrivals(sim.FinitePopulation(10**30, 1e-30), 10)
         durations = A.SystemParams(1.0, 10).durations[:3]
         table = sim._cdf_table(sim.FinitePopulation(10**30, 1e-30), durations)
