@@ -147,8 +147,9 @@ def _outcomes(lam, m, eps):
     of mean mu, then the packets it decodes, sum_{k<=M+1} k P(X=k).  Tails
     come from pdtrc, so they keep relative precision."""
     mu = np.array([lam * eps, lam, lam * (m + 1.0)])
-    p0 = special.pdtr(0, mu)
-    long = special.pdtrc(1, mu)
+    # float counts: pdtr and pdtrc have only float loops, so an int k is cast per call
+    p0 = special.pdtr(0.0, mu)
+    long = special.pdtrc(1.0, mu)
     pu = special.pdtrc(m + 1.0, mu)
     return p0, mu * p0, long, np.maximum(long - pu, 0.0), pu, mu * special.pdtr(m, mu)
 
@@ -186,7 +187,8 @@ def _solve(lam, m, eps) -> ChainSolution:
     t_bar = eps * pi[0] + pi[1] + (m + 1.0) * v_long
     k_bar = pi[0] * decoded[0] + pi[1] * decoded[1] + v_long * decoded[2]
     outage = pi[0] * pu[0] + pi[1] * pu[1] + v_long * pu[2]
-    return ChainSolution(pi=np.moveaxis(np.array(pi), 0, -1), throughput=k_bar / t_bar,
+    pi = np.array(pi)  # leading axis last: np.moveaxis's view, at a fraction of its cost
+    return ChainSolution(pi=pi.transpose(*range(1, pi.ndim), 0), throughput=k_bar / t_bar,
                          outage=outage, mean_session_length=t_bar, mean_success_count=k_bar)
 
 
@@ -201,7 +203,7 @@ def transition_matrix(params: SystemParams) -> np.ndarray:
     Unsuccess rows (both of length M+1) are identical.
     """
     p0, p1, _, ps, pu, _ = _outcomes(*_point(params))
-    return np.array([p0, p1, ps, pu]).T[[0, 1, 2, 2]]
+    return np.array([p0, p1, ps, pu]).T.take([0, 1, 2, 2], axis=0)
 
 
 def stationary_power_iteration(p: np.ndarray, tol: float = 1e-14,

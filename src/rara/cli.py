@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
-import io
+import functools
 import json
 import math
 import os
@@ -254,15 +253,20 @@ def build_rows(spec: ExperimentSpec) -> tuple[list[str], list[dict]]:
 
 
 def render(columns: list[str], rows: list[dict], fmt: str) -> str:
-    """CSV or JSON text of ``rows``, whose keys run in ``columns`` order."""
+    """CSV or JSON text of ``rows``, whose keys run in ``columns`` order.
+
+    Every cell is a Python int or float, so no CSV cell needs quoting: a
+    float is written with ``repr``, which round-trips doubles exactly, and an
+    int with its digits (its ``repr`` too), the text ``csv.writer`` gives
+    them.  The cells are formatted one column at a time.  JSON writes a
+    non-finite float as ``null``, since RFC 8259 has no NaN or Infinity.
+    """
     if fmt == "json":
+        rows = [{key: None if isinstance(value, float) and not math.isfinite(value) else value
+                 for key, value in row.items()} for row in rows]
         return json.dumps({"columns": columns, "rows": rows}, indent=2) + "\n"
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    # csv writes a float with repr, which round-trips doubles exactly
-    writer.writerows(row.values() for row in rows)
-    return buf.getvalue()
+    cells = [map(repr, column) for column in zip(*(row.values() for row in rows))]
+    return "\n".join([",".join(columns), *map(",".join, zip(*cells)), ""])
 
 
 def write_output(text: str, path: str) -> None:
@@ -278,8 +282,10 @@ def write_output(text: str, path: str) -> None:
         raise
 
 
+@functools.cache
 def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
-    """The root parser and each mode's subparser."""
+    """The root parser and each mode's subparser, built once per process
+    (parsing does not change a parser)."""
     parser = argparse.ArgumentParser(
         prog="rara",
         description="Relay-aided random access experiments (theory, "

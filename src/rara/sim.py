@@ -119,6 +119,8 @@ class SimConfig:
             if self.snr_db is None:
                 raise ValueError("phy-coupled rule requires snr_db")
             mpr.noise_variance(self.snr_db)  # raises outside the SNR domain
+        elif self.snr_db is not None:  # the threshold rule never reads it
+            raise ValueError(f"snr_db is read only by the phy-coupled rule, got {self.snr_db!r}")
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 import csv
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -266,6 +268,57 @@ class TestJsonFormat:
         assert payload["columns"] == cli.THEORY_COLUMNS
         assert len(payload["rows"]) == 1
         assert payload["rows"][0]["m"] == 10
+
+    @pytest.mark.parametrize("mode", MODE_ARGS)
+    def test_strict_json(self, tmp_path, mode):
+        # one session leaves the batch-means stderr NaN, which RFC 8259 has
+        # no token for: JSON writes null where CSV keeps nan
+        args = [mode, *MODE_ARGS[mode]]
+        if mode in ("sim", "compare"):
+            args[args.index("--sessions") + 1] = "1"
+        out = tmp_path / "t.json"
+        assert cli.main(args + ["--format", "json", "--out", str(out)]) == 0
+
+        def refuse(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        payload = json.loads(out.read_text(), parse_constant=refuse)
+        if mode in ("sim", "compare"):
+            assert payload["rows"][0]["stderr"] is None
+            assert cli.main(args + ["--out", str(tmp_path / "t.csv")]) == 0
+            assert read_csv(tmp_path / "t.csv")[0]["stderr"] == "nan"
+
+
+def csv_oracle(columns, rows):
+    """The table as csv.writer writes it, the rule render's CSV text keeps."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(row.values() for row in rows)
+    return buf.getvalue()
+
+
+class TestCsvText:
+    def test_edge_values(self):
+        columns = ["a", "b", "c"]
+        values = [-0.0, 0.0, 5e-324, 1e-5, 1e16, 0.1 + 0.2, math.inf, -math.inf,
+                  math.nan, 2**63, 0, 1, -7, 1.0, -2.5e-300]
+        rows = [dict(zip(columns, values[i:i + 3])) for i in range(0, len(values), 3)]
+        assert cli.render(columns, rows, "csv") == csv_oracle(columns, rows)
+        assert cli.render(columns, [], "csv") == csv_oracle(columns, [])
+
+    @pytest.mark.parametrize("argv", [
+        ["theory", "--lambda", "0:2:0.25", "--m", "1,10,3200"],
+        ["compare", "--lambda", "0.4,0.8", "--m", "1:3:1", "--sessions", "500"],
+        ["phy", "--m", "1,3", "--sessions", "50", "--snr-db", "20"],
+    ])
+    def test_real_tables(self, argv):
+        parser, _ = cli._build_parser()
+        raw = vars(parser.parse_args([*argv, "--out", "unused.csv"]))
+        columns, rows = cli.build_rows(cli.validate_spec(raw))
+        # every cell a Python int or float, the case render's text rule covers
+        assert {type(value) for row in rows for value in row.values()} <= {int, float}
+        assert cli.render(columns, rows, "csv") == csv_oracle(columns, rows)
 
 
 class TestHeaders:

@@ -146,6 +146,9 @@ class TestRun:
             with pytest.raises(ValueError):
                 sim.SimConfig(PARAMS_DEFAULT, sim.PoissonProcess(0.8), 100,
                               success_rule=sim.PHY_COUPLED, snr_db=snr_db)
+        # the threshold rule never reads an SNR, so one given is refused
+        with pytest.raises(ValueError, match="snr_db"):
+            sim.SimConfig(PARAMS_DEFAULT, sim.PoissonProcess(0.8), 100, snr_db=20.0)
 
     def test_rejects_fractional_counts(self):
         # both would otherwise fail later, inside math.isqrt
@@ -253,7 +256,8 @@ class TestRun:
         assert rep.outage_hat == nu / n
         if rule == sim.PHY_COUPLED:
             # decoding only turns decodable collisions into outages
-            thr = sim.run(dataclasses.replace(cfg, success_rule=sim.THRESHOLD))
+            thr = sim.run(dataclasses.replace(cfg, success_rule=sim.THRESHOLD,
+                                              snr_db=None))
             t0, t1, ts, tu = thr.sessions_by_state
             assert (n0, n1, ns + nu) == (t0, t1, ts + tu) and ns <= ts
             assert rep.packets_arrived == thr.packets_arrived
