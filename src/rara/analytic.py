@@ -9,7 +9,9 @@ Arrivals over a session are Poisson, so the session-state sequence forms a
 Two broadcast kernels cover a whole (lambda, M, epsilon) grid in one call:
 :func:`solve_chain` solves the chain exactly (stationary distribution,
 throughput, outage, both means), and :func:`gaussian_approx` evaluates the
-large-M Gaussian approximation of throughput and outage.  The single-point
+large-M Gaussian approximation of throughput and outage.  Every exact
+metric is a reward row r_c over the lumped classes c = (Idle, Single, Long)
+reduced by one rule, sum_c v_c r_c (:func:`_expect`).  The single-point
 functions (``throughput_exact``, ``outage_exact``, ``throughput_approx``,
 ...) run the same kernel on numpy float64 scalars: every operation is
 elementwise, so a grid point and a direct call give the same bits.
@@ -66,8 +68,8 @@ class SystemParams:
     @property
     def durations(self) -> tuple[float, float, float, float]:
         """Session length per state, indexed by SessionKind."""
-        long = self.m_relays + 1.0
-        return (self.epsilon, 1.0, long, long)
+        lengths = _lengths(self.m_relays, self.epsilon)
+        return lengths + lengths[2:]
 
 
 class SessionKind(enum.IntEnum):
@@ -140,18 +142,33 @@ def _point(params: SystemParams):
     return np.float64(params.lam), np.float64(params.m_relays), np.float64(params.epsilon)
 
 
+def _lengths(m, eps):
+    """Session length T_c of each lumped class (Idle, Single, Long)."""
+    return eps, 1.0, m + 1.0
+
+
 def _outcomes(lam, m, eps):
-    """Outcome probabilities of the session that follows one of length
-    epsilon, 1 and M+1 (a leading axis before the grid's shape): P(X=0),
-    P(X=1), P(X>=2), P(2<=X<=M+1) and P(X>=M+2) for its Poisson arrivals X
-    of mean mu, then the packets it decodes, sum_{k<=M+1} k P(X=k).  Tails
-    come from pdtrc, so they keep relative precision."""
-    mu = np.array([lam * eps, lam, lam * (m + 1.0)])
+    """What follows a session of each lumped class c, for its Poisson
+    arrivals X of mean mu_c = lambda T_c: the lengths T_c, the next-class
+    rows P(X=0), P(X=1) and P(X>=2), and the reward rows P(2<=X<=M+1)
+    (Success), P(X>=M+2) (outage) and the packets it decodes, sum_{k<=M+1}
+    k P(X=k) = mu_c P(X<=M).  Each row has the class axis first; tails come
+    from pdtrc, so they keep relative precision."""
+    lengths = _lengths(m, eps)
+    mu = np.array([lam * t for t in lengths])
     # float counts: pdtr and pdtrc have only float loops, so an int k is cast per call
     p0 = special.pdtr(0.0, mu)
     long = special.pdtrc(1.0, mu)
     pu = special.pdtrc(m + 1.0, mu)
-    return p0, mu * p0, long, np.maximum(long - pu, 0.0), pu, mu * special.pdtr(m, mu)
+    return lengths, (p0, mu * p0, long), (np.maximum(long - pu, 0.0), pu, mu * special.pdtr(m, mu))
+
+
+def _expect(v, *rows):
+    """Each reward row r reduced over the classes with weights v, left to
+    right: v[0]*r[0] + v[1]*r[1] + v[2]*r[2], the one class sum of the
+    kernel.  The class axis is a sequence of three operands (numpy scalars
+    at a point, arrays on a grid), not one stacked array."""
+    return [v[0] * r[0] + v[1] * r[1] + v[2] * r[2] for r in rows]
 
 
 def solve_chain(lam, m_relays, epsilon=DEFAULT_EPSILON) -> ChainSolution:
@@ -162,38 +179,35 @@ def solve_chain(lam, m_relays, epsilon=DEFAULT_EPSILON) -> ChainSolution:
     (Idle, Single, Long).  By the Markov chain tree theorem the stationary
     weight of each lumped state is the sum, over the spanning trees directed
     into it, of the product of their transition probabilities; every term
-    is a product of non-negative entries, so no weight cancels.  Long splits
-    into Success and Unsuccess by the outcome probabilities of the session
-    that follows each state.  All arithmetic is elementwise, so a grid point
-    gives the same bits whatever grid it is solved in.
+    is a product of non-negative entries, so no weight cancels.  Every
+    metric is then a reward row r_c over the lumped classes c, reduced as
+    sum_c v_c r_c: with the tree weights, P(Success) and P(Outage) split
+    Long into Success and Unsuccess; with the stationary lumped v, the
+    lengths T_c give the mean session length, the decoded means the mean
+    success count and P(Outage) the outage.  All arithmetic is elementwise,
+    so a grid point gives the same bits whatever grid it is solved in.
     """
     return _solve(*check_grid(lam, m_relays, epsilon))
 
 
 def _solve(lam, m, eps) -> ChainSolution:
-    to_idle, to_single, to_long, ps, pu, decoded = _outcomes(lam, m, eps)
-    # q_xy: probability that the session after lumped state x is in state y
-    _, q_si, q_li = to_idle
-    q_is, _, q_ls = to_single
-    q_il, q_sl, _ = to_long
-    w_idle = q_si * q_li + q_sl * q_li + q_ls * q_si
-    w_single = q_is * q_ls + q_il * q_ls + q_li * q_is
-    w_long = q_il * q_sl + q_is * q_sl + q_si * q_il
-    w_success = w_idle * ps[0] + w_single * ps[1] + w_long * ps[2]
-    w_outage = w_idle * pu[0] + w_single * pu[1] + w_long * pu[2]
-    total = w_idle + w_single + w_success + w_outage
-    pi = [w / total for w in (w_idle, w_single, w_success, w_outage)]
-    v_long = pi[2] + pi[3]
-    t_bar = eps * pi[0] + pi[1] + (m + 1.0) * v_long
-    k_bar = pi[0] * decoded[0] + pi[1] * decoded[1] + v_long * decoded[2]
-    outage = pi[0] * pu[0] + pi[1] * pu[1] + v_long * pu[2]
+    lengths, (to_idle, to_single, to_long), (ps, pu, decoded) = _outcomes(lam, m, eps)
+    # q_xy: probability that the session after lumped state x is in state y;
+    # indexing boxes a numpy scalar for a quarter of what unpacking costs
+    q_si, q_li = to_idle[1], to_idle[2]
+    q_is, q_ls = to_single[0], to_single[2]
+    q_il, q_sl = to_long[0], to_long[1]
+    # spanning-tree weights of Idle, Single and Long
+    w = (q_si * q_li + q_sl * q_li + q_ls * q_si,
+         q_is * q_ls + q_il * q_ls + q_li * q_is,
+         q_il * q_sl + q_is * q_sl + q_si * q_il)
+    w_success, w_outage = _expect(w, ps, pu)  # Long's weight, split by what follows
+    total = w[0] + w[1] + w_success + w_outage
+    pi = [x / total for x in (w[0], w[1], w_success, w_outage)]
+    t_bar, k_bar, outage = _expect((pi[0], pi[1], pi[2] + pi[3]), lengths, decoded, pu)
     pi = np.array(pi)  # leading axis last: np.moveaxis's view, at a fraction of its cost
     return ChainSolution(pi=pi.transpose(*range(1, pi.ndim), 0), throughput=k_bar / t_bar,
                          outage=outage, mean_session_length=t_bar, mean_success_count=k_bar)
-
-
-def _solve_one(params: SystemParams) -> ChainSolution:
-    return _solve(*_point(params))
 
 
 def transition_matrix(params: SystemParams) -> np.ndarray:
@@ -202,7 +216,7 @@ def transition_matrix(params: SystemParams) -> np.ndarray:
     Rows condition on the previous session's length, so the Success and
     Unsuccess rows (both of length M+1) are identical.
     """
-    p0, p1, _, ps, pu, _ = _outcomes(*_point(params))
+    _, (p0, p1, _), (ps, pu, _) = _outcomes(*_point(params))
     return np.array([p0, p1, ps, pu]).T.take([0, 1, 2, 2], axis=0)
 
 
@@ -218,8 +232,8 @@ def stationary_power_iteration(p: np.ndarray, tol: float = 1e-14,
     ``p`` may be a stack of matrices (shape (..., n, n)); all chains are then
     iterated together until every one has converged.
     """
-    if tol <= 0:
-        raise ValueError(f"tolerance must be > 0, got {tol}")
+    if not 0 < tol < math.inf:  # nan would never converge, inf stop after one step
+        raise ValueError(f"tolerance must be finite and > 0, got {tol}")
     p = np.asarray(p, dtype=float)
     n = p.shape[-1]
     pi = np.full(p.shape[:-2] + (n,), 1.0 / n)
@@ -244,13 +258,13 @@ def stationary_closed_form(params: SystemParams) -> StationaryDistribution:
     absorbed in Idle and pi = (1, 0, 0, 0).
     """
     method = "degenerate" if params.lam == 0 else "closed_form"
-    return StationaryDistribution(_solve_one(params).pi, method=method)
+    return StationaryDistribution(_solve(*_point(params)).pi, method=method)
 
 
 def outage_exact(params: SystemParams) -> float:
     """Probability of a session with >= M+2 contenders (undecodable even with
     all M relay forwards), from the pdtrc tail after each state."""
-    return float(_solve_one(params).outage)
+    return float(_solve(*_point(params)).outage)
 
 
 def throughput_exact(params: SystemParams) -> PerformanceMetrics:
@@ -258,7 +272,7 @@ def throughput_exact(params: SystemParams) -> PerformanceMetrics:
     bundled with outage and both means.  The mean success count is
     sum_i pi_i * lambda*T_i * P(X <= M), X ~ Poisson(lambda*T_i), which
     equals the first moment sum_{k=1}^{M+1} k Q(k) of the occupancy Q."""
-    sol = _solve_one(params)
+    sol = _solve(*_point(params))
     return PerformanceMetrics(
         throughput=float(sol.throughput),
         outage=float(sol.outage),

@@ -7,7 +7,9 @@ same field names, and flags win.  Grids are comma lists (``0.4,0.8``) or
 inclusive ranges (``start:stop:step``).  Every value is converted one way and
 checked by the library rule :data:`FIELDS` names for it; the largest
 (lambda, M) of a grid is checked by ``analytic.check_grid`` and, when
-simulated, by ``sim.check_arrivals``.  This module states no check of its own.
+simulated, by ``sim.check_arrivals``.  This module states no check of its own
+but one size cap, :data:`MAX_RANGE_VALUES`, on the values of a range and on
+the rows of a table, both counted before anything is built.
 
 Exit codes: 0 success, 2 validation error, 3 I/O error.
 """
@@ -70,7 +72,7 @@ SIM_COLUMNS = ["throughput_hat", "stderr", "outage_hat", "sessions", "seed"]
 ERROR_COLUMNS = ["abs_err_throughput", "abs_err_outage"]
 PHY_COLUMNS = ["k", "m", "snr_db", "ser", "trials", "seed"]
 
-# Most values a start:stop:step range may expand to.
+# Most values a start:stop:step range may expand to, and most rows a table may have.
 MAX_RANGE_VALUES = 100_000
 
 
@@ -168,6 +170,11 @@ def validate_spec(raw: dict) -> ExperimentSpec:
     if spec["format"] not in ("csv", "json"):
         problems.append(f"format: must be csv or json, got {spec['format']!r}")
     lams, ms = spec["lambda_grid"], spec["m_grid"]
+    if ms and (lams or mode == "phy"):  # counted before any row is built
+        rows, of = ((sum(m + 1 for m in ms), "M+1 summed over m_grid") if mode == "phy"
+                    else (len(lams) * len(ms), "lambda_grid x m_grid"))
+        if rows > MAX_RANGE_VALUES:
+            problems.append(f"table: {of} gives {rows} rows, more than {MAX_RANGE_VALUES}")
     if lams and ms:  # the largest lambda*(M+1), then what the walk tabulates
         try:
             analytic.check_grid(max(lams), max(ms))

@@ -1,9 +1,11 @@
+import functools
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from rara import analytic as A
@@ -167,8 +169,10 @@ class TestStationary:
         assert np.allclose(sd.pi, r, atol=1e-14)
 
     def test_power_iteration_rejects_bad_tol(self):
-        with pytest.raises(ValueError):
-            A.stationary_power_iteration(np.eye(4), tol=0.0)
+        # nan would never converge, inf would stop after one step
+        for tol in (0.0, -1e-14, math.nan, math.inf):
+            with pytest.raises(ValueError, match="tolerance"):
+                A.stationary_power_iteration(np.eye(4), tol=tol)
 
     def test_power_iteration_nonconvergence(self):
         # slow-mixing chain cannot settle within a tiny iteration cap
@@ -280,15 +284,30 @@ class TestOutageAndThroughput:
     def test_outage_approaches_one_above_unit_load(self):
         assert A.outage_exact(A.SystemParams(1.5, 400, 0.1)) == pytest.approx(1.0, abs=1e-3)
 
-    def test_mean_session_length_cases(self):
-        # absorbed in Idle, every session lasts epsilon
-        met = A.throughput_exact(A.SystemParams(0.0, 10, 0.1))
-        assert met.mean_session_length == pytest.approx(0.1)
-        # pi-weighted lengths (epsilon, 1, M+1, M+1)
-        pi = A.stationary_closed_form(PARAMS_DEFAULT).pi
-        met = A.throughput_exact(PARAMS_DEFAULT)
-        assert met.mean_session_length == pytest.approx(
-            0.1 * pi[0] + pi[1] + 11.0 * (pi[2] + pi[3]), rel=1e-14)
+    @given(params_st)
+    @example(A.SystemParams(0.0, 10, 0.1))  # absorbed in Idle: every session lasts epsilon
+    @example(PARAMS_DEFAULT)
+    @settings(max_examples=200, deadline=None)
+    def test_mean_session_length_cases(self, params):
+        # every mean is a pi-weighted reward, summed with fsum from pi, the
+        # transition matrix and the lengths (epsilon, 1, M+1, M+1) alone
+        pi = A.stationary_closed_form(params).pi
+        p = A.transition_matrix(params)
+        t_bar = math.fsum(w * t for w, t in zip(pi, params.durations))
+        # packets decoded after state i: sum_{k<=M+1} k P(X=k), each P(X=k)
+        # stepped up from P(X=0) = p[i, 0] with mu = lambda T_i
+        k_bar = math.fsum(w * _decoded(p[i, 0], params.lam * t, params.m_relays)
+                          for i, (w, t) in enumerate(zip(pi, params.durations)))
+        outage = math.fsum(w * p[i, A.SessionKind.UNSUCCESS] for i, w in enumerate(pi))
+        met = A.throughput_exact(params)
+        # relative precision, down to the smallest normal float
+        close = functools.partial(pytest.approx, rel=1e-13, abs=sys.float_info.min)
+        assert met.mean_session_length == close(t_bar)
+        assert met.mean_success_count == close(k_bar)
+        assert met.throughput == close(k_bar / t_bar)
+        assert met.outage == close(outage)
+        if params.lam == 0:
+            assert met.mean_session_length == params.epsilon
 
     def test_mean_session_length_bound(self):
         pi = A.stationary_closed_form(PARAMS_DEFAULT).pi
@@ -355,6 +374,16 @@ def _pmf(k, mu):
     if mu == 0:
         return 1.0 if k == 0 else 0.0
     return math.exp(_log_pmf(k, mu))
+
+
+def _decoded(p0, mu, m):
+    """sum_{k=1}^{M+1} k P(X=k) for X ~ Poisson(mu), from P(X=0) = p0 by
+    P(X=k) = P(X=k-1) mu / k, each term positive."""
+    terms, pk = [], p0
+    for k in range(1, m + 2):
+        pk *= mu / k
+        terms.append(k * pk)
+    return math.fsum(terms)
 
 
 def _occupancy(k, params, pi):

@@ -443,6 +443,28 @@ class TestConfigAndErrors:
             assert "error: lambda_grid: traffic intensities" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_table_row_cap(self, capsys, tmp_path):
+        # each range is within the cap, the table is not: counted before any
+        # row is built, so a 1e9-row table is refused, not a MemoryError
+        out = tmp_path / "x.csv"
+        for argv, rows in ((["theory", "--lambda", "0:1:0.001", "--m", "1:101:1"], 101_101),
+                           (["theory", "--lambda", "0:1:0.0001", "--m", "1:100000:1"],
+                            10_001 * 100_000),
+                           (["phy", "--m", "100000000", "--snr-db", "20"], 10**8 + 1)):
+            assert cli.main([*argv, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: table: ") and f" {rows} rows" in err
+            assert not out.exists()
+        # a table of exactly MAX_RANGE_VALUES rows is accepted
+        cap = cli.MAX_RANGE_VALUES
+        cli.validate_spec({"mode": "theory", "lambda_grid": "0:0.99:0.01",
+                           "m_grid": f"1:{cap // 100}:1", "output_path": "x.csv"})
+        cli.validate_spec({"mode": "phy", "m_grid": [cap - 1], "snr_db": 20.0,
+                           "output_path": "x.csv"})
+        with pytest.raises(cli.SpecValidationError, match=f"{cap + 1} rows"):
+            cli.validate_spec({"mode": "phy", "m_grid": [cap], "snr_db": 20.0,
+                               "output_path": "x.csv"})
+
     def test_config_not_an_object(self, capsys, tmp_path):
         cfg = tmp_path / "list.json"
         cfg.write_text("[1, 2]")
