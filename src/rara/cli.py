@@ -5,11 +5,17 @@ Subcommands ``theory | sim | compare | phy`` take the flags of the fields
 :data:`MODES` says they read; a config file is one JSON object keyed by the
 same field names, and flags win.  Grids are comma lists (``0.4,0.8``) or
 inclusive ranges (``start:stop:step``).  Every value is converted one way and
-checked by the library rule :data:`FIELDS` names for it; the largest
-(lambda, M) of a grid is checked by ``analytic.check_grid`` and, when
-simulated, by ``sim.check_arrivals``.  This module states no check of its own
-but one size cap, :data:`MAX_RANGE_VALUES`, on the values of a range and on
-the rows of a table, both counted before anything is built.
+checked by the one rule :data:`FIELDS` names for it, the library's for every
+value the library reads; the largest (lambda, M) of a grid is checked by
+``analytic.check_grid`` and, when simulated, by ``sim.check_arrivals``.
+Beyond the format's rule (csv or json), this module states no check of its
+own but one size cap, :data:`MAX_RANGE_VALUES`, on the values of a range and
+on the rows of a table, both counted before anything is built.
+
+Each table is one ordered mapping of column name to column, built where its
+values are computed: the theory columns by one broadcast solve over the
+grid, the phy and simulated columns from one pass of seeded rows.  The
+names of a table are the keys of that mapping and nowhere else.
 
 Exit codes: 0 success, 2 validation error, 3 I/O error.
 """
@@ -35,10 +41,18 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_IO = 3
 
+
+def _check_format(fmt: str) -> None:
+    """The rule of the ``format`` field: one of the two :func:`render` writes."""
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"must be csv or json, got {fmt!r}")
+
+
 # Each ExperimentSpec field a flag sets: its flag, help text, kind (a one-tuple
-# for a grid of that type), default (None: required) and the library rule that
-# checks the converted value by raising ValueError (``str`` for the two text
-# fields, which need none).  This module states no check of its own.
+# for a grid of that type), default (None: required) and the rule that checks
+# the converted value by raising ValueError: the library's for every value the
+# library reads, :func:`_check_format` for the format, and ``str`` for the
+# output path, which needs none.  validate_spec states no check of its own.
 FIELDS = {
     "lambda_grid": ("--lambda", "traffic intensities: comma list or start:stop:step",
                     (float,), None, analytic.check_grid),
@@ -51,26 +65,13 @@ FIELDS = {
     "seed": ("--seed", "root seed", int, 0, lambda seed: analytic.check_count("seed", seed, 0)),
     "snr_db": ("--snr-db", "receive SNR in dB", float, None, mpr.noise_variance),
     "output_path": ("--out", "output file", str, None, str),
-    "format": ("--format", "csv (default) or json", str, "csv", str),
+    "format": ("--format", "csv (default) or json", str, "csv", _check_format),
 }
 # The fields each mode reads, the one place this is decided; any other is refused.
 _OUT = ("output_path", "format")
 _SIM = ("lambda_grid", "m_grid", "epsilon", "n_sessions", "seed", *_OUT)
 MODES = {"theory": ("lambda_grid", "m_grid", "epsilon", *_OUT), "sim": _SIM, "compare": _SIM,
          "phy": ("m_grid", "n_sessions", "seed", "snr_db", *_OUT)}
-
-THEORY_COLUMNS = [
-    "lambda", "m", "epsilon",
-    "throughput_exact", "throughput_approx",
-    "outage_exact", "outage_approx",
-    "asymptotic_throughput",
-    "pi_0", "pi_1", "pi_S", "pi_U",
-    "mean_session_length",
-    "u_discontinuity",
-]
-SIM_COLUMNS = ["throughput_hat", "stderr", "outage_hat", "sessions", "seed"]
-ERROR_COLUMNS = ["abs_err_throughput", "abs_err_outage"]
-PHY_COLUMNS = ["k", "m", "snr_db", "ser", "trials", "seed"]
 
 # Most values a start:stop:step range may expand to, and most rows a table may have.
 MAX_RANGE_VALUES = 100_000
@@ -167,8 +168,6 @@ def validate_spec(raw: dict) -> ExperimentSpec:
             spec[key] = value
         except (ValueError, TypeError, OverflowError) as exc:
             problems.append(f"{key}: {exc}")
-    if spec["format"] not in ("csv", "json"):
-        problems.append(f"format: must be csv or json, got {spec['format']!r}")
     lams, ms = spec["lambda_grid"], spec["m_grid"]
     if ms and (lams or mode == "phy"):  # counted before any row is built
         rows, of = ((sum(m + 1 for m in ms), "M+1 summed over m_grid") if mode == "phy"
@@ -187,18 +186,27 @@ def validate_spec(raw: dict) -> ExperimentSpec:
     return ExperimentSpec(mode=mode, **spec)
 
 
-def _theory_rows(grid: list[tuple[float, int]], epsilon: float) -> list[dict]:
-    """One row per (lambda, M) of ``grid``, every column from one broadcast
-    call over the whole grid."""
-    lams, ms = (np.array(v) for v in zip(*grid))
+def _theory_columns(lams: np.ndarray, ms: np.ndarray, epsilon: float) -> dict:
+    """The theory table's columns over the (lambda, M) pairs ``lams``,
+    ``ms``, from one broadcast solve over the whole grid."""
     sol = analytic.solve_chain(lams, ms, epsilon)
-    thr_approx, out_approx = analytic.gaussian_approx(lams, ms)
-    columns = (lams, ms, np.full(lams.shape, epsilon),
-               sol.throughput, thr_approx, sol.outage, out_approx,
-               analytic.asymptotic_throughput(lams), *sol.pi.T,
-               sol.mean_session_length, (lams == 1.0).astype(int))
-    return [dict(zip(THEORY_COLUMNS, values))
-            for values in zip(*(c.tolist() for c in columns))]
+    throughput_approx, outage_approx = analytic.gaussian_approx(lams, ms)
+    return {"lambda": lams, "m": ms, "epsilon": np.full(lams.shape, epsilon),
+            "throughput_exact": sol.throughput, "throughput_approx": throughput_approx,
+            "outage_exact": sol.outage, "outage_approx": outage_approx,
+            "asymptotic_throughput": analytic.asymptotic_throughput(lams),
+            **dict(zip(("pi_0", "pi_1", "pi_S", "pi_U"), sol.pi.T)),
+            "mean_session_length": sol.mean_session_length,
+            "u_discontinuity": (lams == 1.0).astype(int)}
+
+
+def _table(columns: dict) -> tuple[list[str], list[dict]]:
+    """The names and rows of a table given as name -> column, in order.
+    A column is a sequence or a numpy array, of one cell per row; every
+    cell comes out a Python scalar."""
+    names = list(columns)
+    cells = (c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values())
+    return names, [dict(zip(names, row)) for row in zip(*cells, strict=True)]
 
 
 def _cpus() -> int:
@@ -222,41 +230,41 @@ def build_rows(spec: ExperimentSpec) -> tuple[list[str], list[dict]]:
     """Evaluate the experiment grid; rows follow grid order (lambda outer).
     Every cell is a Python scalar.
 
-    Each phy or simulated row draws from its own seed of
-    ``sim.derive_seeds``, so the rows are evaluated concurrently, on as many
-    threads as the process has CPUs (numpy releases the GIL in the work that
-    dominates them); the output does not depend on the thread count.
+    The table is one ordered mapping of column name to column, turned into
+    rows by :func:`_table`.  Each phy or simulated row draws from its own
+    seed of ``sim.derive_seeds``, so the rows are evaluated concurrently, on
+    as many threads as the process has CPUs (numpy releases the GIL in the
+    work that dominates them); the output does not depend on the thread
+    count.
     """
     if spec.mode == "phy":
         grid = [(k, m) for m in spec.m_grid for k in range(1, m + 2)]
-        seeds = sim.derive_seeds(spec.seed, len(grid))
-        sers = _map_rows(lambda cell, seed: mpr.symbol_error_rate(
-            *cell, spec.snr_db, spec.n_sessions, seed), grid, seeds)
-        return PHY_COLUMNS, [dict(zip(PHY_COLUMNS, (k, m, spec.snr_db, ser,
-                                                    spec.n_sessions, seed)))
-                             for (k, m), ser, seed in zip(grid, sers, seeds)]
+        columns = dict(zip(("k", "m"), zip(*grid)))
 
-    grid = [(lam, m) for lam in spec.lambda_grid for m in spec.m_grid]
-    rows = _theory_rows(grid, spec.epsilon)
+        def evaluate(cell, seed):
+            return mpr.symbol_error_rate(*cell, spec.snr_db, spec.n_sessions, seed)
+    else:
+        grid = [(lam, m) for lam in spec.lambda_grid for m in spec.m_grid]
+        columns = _theory_columns(*(np.array(v) for v in zip(*grid)), spec.epsilon)
+
+        def evaluate(cell, seed):
+            return sim.run(sim.SimConfig(analytic.SystemParams(*cell, spec.epsilon),
+                                         sim.PoissonProcess(cell[0]), spec.n_sessions, seed))
     if spec.mode == "theory":
-        return THEORY_COLUMNS, rows
-    extra = SIM_COLUMNS + (ERROR_COLUMNS if spec.mode == "compare" else [])
+        return _table(columns)
     seeds = sim.derive_seeds(spec.seed, len(grid))
-
-    def simulate(cell, seed):
-        lam, m = cell
-        return sim.run(sim.SimConfig(analytic.SystemParams(lam, m, spec.epsilon),
-                                     sim.PoissonProcess(lam), spec.n_sessions, seed))
-
-    reports = _map_rows(simulate, grid, seeds)
-    for row, rep, run_seed in zip(rows, reports, seeds):
-        # sim mode keeps the first len(SIM_COLUMNS) values
-        row.update(zip(extra, (
-            rep.throughput_hat, rep.stderr_throughput, rep.outage_hat,
-            spec.n_sessions, run_seed,
-            abs(rep.throughput_hat - row["throughput_exact"]),
-            abs(rep.outage_hat - row["outage_exact"]))))
-    return THEORY_COLUMNS + extra, rows
+    results = _map_rows(evaluate, grid, seeds)
+    runs = [spec.n_sessions] * len(grid)
+    if spec.mode == "phy":
+        columns.update(snr_db=[spec.snr_db] * len(grid), ser=results, trials=runs, seed=seeds)
+        return _table(columns)
+    hats = np.array([[rep.throughput_hat, rep.outage_hat] for rep in results]).T
+    columns.update(throughput_hat=hats[0], stderr=[rep.stderr_throughput for rep in results],
+                   outage_hat=hats[1], sessions=runs, seed=seeds)
+    if spec.mode == "compare":
+        columns["abs_err_throughput"], columns["abs_err_outage"] = np.abs(
+            hats - [columns["throughput_exact"], columns["outage_exact"]])
+    return _table(columns)
 
 
 def render(columns: list[str], rows: list[dict], fmt: str) -> str:

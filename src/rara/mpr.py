@@ -52,6 +52,13 @@ class UnderdeterminedError(ValueError):
     """More colliding devices than stacked observations (K > M+1)."""
 
 
+def _check_determined(k_devices: int, n_obs: int) -> None:
+    """Refuse K colliding devices over fewer than K observations."""
+    if k_devices > n_obs:
+        raise UnderdeterminedError(f"{k_devices} colliding devices but only {n_obs} "
+                                   f"observations; need K <= M+1")
+
+
 @dataclass(frozen=True)
 class ChannelRealization:
     """All link gains for K devices, M relays, and the BS, over any leading
@@ -161,10 +168,7 @@ def detect(h: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     cond(H) itself.  Refuses K > M+1 and a non-finite H.
     """
     n_obs, k = h.shape[-2:]
-    if k > n_obs:
-        raise UnderdeterminedError(
-            f"{k} colliding devices but only {n_obs} observations; "
-            f"need K <= M+1")
+    _check_determined(k, n_obs)
     hh = np.swapaxes(h, -1, -2).conj()
     g = hh @ h
     try:
@@ -242,11 +246,13 @@ def symbol_errors(k_devices: int, m_relays: int, snr_db: float, trials: int,
     own, so the flags do not depend on the block size (bar a block holding
     an exactly singular Gram matrix, which :func:`detect` sends whole to the
     SVD).  SNR is per received symbol, for relay and BS noise alike, with
-    the domain of :func:`noise_variance`.
+    the domain of :func:`noise_variance`.  K > M+1 is refused, as by
+    :func:`detect`, before anything is drawn from ``rng``.
     """
     for name, count in (("device count", k_devices), ("relay count", m_relays),
                         ("trials", trials)):
         check_count(name, count, 1)
+    _check_determined(k_devices, m_relays + 1)  # before anything is drawn
     noise_var = noise_variance(snr_db)
     entries = max(81, k_devices * (m_relays + 1))
     size = max(1, _BATCH * 81 // entries)

@@ -214,11 +214,18 @@ def run(config: SimConfig) -> SimReport:
     """Simulate ``n_sessions`` counted sessions (after warm-up) and report
     empirical throughput, outage, and session-length estimates.
 
-    Warm-up and counted sessions are one chain walked by :func:`_walk`;
-    standard errors are batch means over the counted sessions.
-    The arrival stream and the PHY randomness use separate generators derived
-    from the seed, so threshold and phy-coupled runs with the same seed see
-    identical arrival sequences.
+    Warm-up and counted sessions are one chain walked by :func:`_walk`.
+    Every estimate is one ratio of sums over the counted sessions:
+    throughput is delivered packets over session lengths, outage is outages
+    over sessions, and the mean length is lengths over sessions.  Its
+    standard error is that of the batch means of the same ratio over 100
+    batches (fewer when there are fewer sessions), each batch ratio taken
+    as sum over sum, not as a mean of per-session ratios (Asmussen & Glynn,
+    *Stochastic Simulation*, ch. IV); with one session it is NaN.
+
+    The arrival stream and the PHY randomness use separate generators
+    derived from the seed, so threshold and phy-coupled runs with the same
+    seed see identical arrival sequences.
     """
     params = config.params
     m = params.m_relays
@@ -240,12 +247,7 @@ def run(config: SimConfig) -> SimReport:
             errors = mpr.symbol_errors(k, m, config.snr_db, len(of_k), phy_rng)
             states[of_k[errors.any(axis=1)]] = 3
     delivered = np.where(states == 3, 0, arrived)
-
-    counts = np.bincount(states, minlength=4)
     lengths = np.array(params.durations)[states]
-    total_time = float(np.sum(lengths))
-    total_delivered = int(delivered.sum())
-    total_arrived = int(arrived.sum())
 
     # batch means: sessions are Markov-dependent, so per-session errors
     # understate the variance; batches restore approximate independence
@@ -253,30 +255,32 @@ def run(config: SimConfig) -> SimReport:
     # batch b starts at b*q + min(b, r), the boundaries of np.array_split
     q, r = divmod(n, n_batches)
     starts = np.arange(n_batches) * q + np.minimum(np.arange(n_batches), r)
-    batch_n = np.diff(starts, append=n).astype(float)
-    batch_d = np.add.reduceat(delivered, starts).astype(float)
-    batch_t = np.add.reduceat(lengths, starts)
-    batch_u = np.add.reduceat(states == 3, starts, dtype=np.int64).astype(float)
 
-    def _stderr(values):
-        if n_batches < 2:
-            return float("nan")
-        return float(np.std(values, ddof=1)) / math.sqrt(n_batches)
+    def ratio(num, den):
+        """sum(num) / sum(den) and the standard error of its batch means.
+        Batch sums are taken in float, so a bool ``num`` is counted, not
+        or-ed as ``np.add.reduceat`` may do over bools."""
+        batches = (np.add.reduceat(num, starts, dtype=float)
+                   / np.add.reduceat(den, starts, dtype=float))
+        stderr = float(np.std(batches, ddof=1)) / math.sqrt(n_batches) if n_batches > 1 \
+            else math.nan
+        return float(num.sum() / den.sum()), stderr
 
-    stderr = _stderr(batch_d / batch_t)
-    stderr_outage = _stderr(batch_u / batch_n)
-    stderr_mean_length = _stderr(batch_t / batch_n)
-
+    sessions = np.broadcast_to(1.0, n)  # a weight of 1 per session, allocating nothing
+    throughput_hat, stderr_throughput = ratio(delivered, lengths)
+    outage_hat, stderr_outage = ratio(states == 3, sessions)
+    mean_length_hat, stderr_mean_length = ratio(lengths, sessions)
+    total_arrived, total_delivered = int(arrived.sum()), int(delivered.sum())
     return SimReport(
-        sessions_by_state=tuple(int(c) for c in counts),
+        sessions_by_state=tuple(np.bincount(states, minlength=4).tolist()),
         packets_arrived=total_arrived,
         packets_delivered=total_delivered,
         packets_lost=total_arrived - total_delivered,
-        total_time=total_time,
-        throughput_hat=total_delivered / total_time,
-        outage_hat=int(counts[3]) / n,
-        mean_session_length_hat=total_time / n,
-        stderr_throughput=stderr,
+        total_time=float(lengths.sum()),
+        throughput_hat=throughput_hat,
+        outage_hat=outage_hat,
+        mean_session_length_hat=mean_length_hat,
+        stderr_throughput=stderr_throughput,
         stderr_outage=stderr_outage,
         stderr_mean_length=stderr_mean_length,
         seed=config.seed,

@@ -19,6 +19,19 @@ MODE_ARGS = {
     "phy": ["--m", "2", "--sessions", "100", "--snr-db", "20"],
 }
 
+# The header of each table, pinned: a column renamed, dropped or moved in
+# the code shows here.
+THEORY_HEADER = ["lambda", "m", "epsilon", "throughput_exact", "throughput_approx",
+                 "outage_exact", "outage_approx", "asymptotic_throughput",
+                 "pi_0", "pi_1", "pi_S", "pi_U", "mean_session_length", "u_discontinuity"]
+SIM_HEADER = THEORY_HEADER + ["throughput_hat", "stderr", "outage_hat", "sessions", "seed"]
+HEADERS = {
+    "theory": THEORY_HEADER,
+    "sim": SIM_HEADER,
+    "compare": SIM_HEADER + ["abs_err_throughput", "abs_err_outage"],
+    "phy": ["k", "m", "snr_db", "ser", "trials", "seed"],
+}
+
 
 def read_csv(path):
     with open(path) as fh:
@@ -131,7 +144,7 @@ class TestTheoryMode:
         out = tmp_path / "h.csv"
         cli.main(["theory", "--lambda", "0.8", "--m", "10", "--out", str(out)])
         header = out.read_text().splitlines()[0].split(",")
-        assert header == cli.THEORY_COLUMNS
+        assert header == THEORY_HEADER
 
     def test_unit_load_flagged(self, tmp_path):
         out = tmp_path / "u.csv"
@@ -265,7 +278,7 @@ class TestJsonFormat:
         cli.main(["theory", "--lambda", "0.8", "--m", "10", "--format", "json",
                   "--out", str(out)])
         payload = json.loads(out.read_text())
-        assert payload["columns"] == cli.THEORY_COLUMNS
+        assert payload["columns"] == THEORY_HEADER
         assert len(payload["rows"]) == 1
         assert payload["rows"][0]["m"] == 10
 
@@ -324,12 +337,7 @@ class TestCsvText:
 class TestHeaders:
     def test_every_mode(self, tmp_path):
         # rows carry their cells in column order, so CSV and JSON agree
-        expected = {
-            "sim": cli.THEORY_COLUMNS + cli.SIM_COLUMNS,
-            "compare": cli.THEORY_COLUMNS + cli.SIM_COLUMNS + cli.ERROR_COLUMNS,
-            "phy": cli.PHY_COLUMNS,
-        }
-        for mode, columns in expected.items():
+        for mode, columns in HEADERS.items():
             args = [mode, *MODE_ARGS[mode]]
             out_csv, out_json = tmp_path / f"{mode}.csv", tmp_path / f"{mode}.json"
             assert cli.main(args + ["--out", str(out_csv)]) == 0
@@ -465,6 +473,34 @@ class TestConfigAndErrors:
             cli.validate_spec({"mode": "phy", "m_grid": [cap], "snr_db": 20.0,
                                "output_path": "x.csv"})
 
+    def test_unknown_format(self, capsys, tmp_path):
+        out = tmp_path / "x.xml"
+        assert cli.main(["theory", "--lambda", "0.8", "--m", "2", "--format", "xml",
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: format: must be csv or json, got 'xml'\n"
+        assert not out.exists()
+
+    def test_unreadable_or_malformed_config(self, capsys, tmp_path):
+        # a file that cannot be read is an I/O error, one that is not JSON a
+        # validation error; neither writes the output
+        out = tmp_path / "x.csv"
+        args = ["theory", "--lambda", "0.8", "--m", "2", "--out", str(out), "--config"]
+        assert cli.main([*args, str(tmp_path / "missing.json")]) == 3
+        assert "error: cannot read config" in capsys.readouterr().err
+        cfg = tmp_path / "bad.json"
+        cfg.write_text('{"epsilon": 0.1,')
+        assert cli.main([*args, str(cfg)]) == 2
+        assert "error: bad config" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_grid_list_in_config(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"lambda_grid": [], "m_grid": [2],
+                                   "output_path": str(tmp_path / "x.csv")}))
+        assert cli.main(["theory", "--config", str(cfg)]) == 2
+        assert "error: lambda_grid: grid must be non-empty" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_config_not_an_object(self, capsys, tmp_path):
         cfg = tmp_path / "list.json"
         cfg.write_text("[1, 2]")
@@ -499,3 +535,14 @@ class TestConfigAndErrors:
                        "--out", str(target)])
         assert rc == 3
         assert not target.exists()
+
+    def test_failed_replace_leaves_no_temp_file(self, capsys, tmp_path):
+        # the temp file is written beside --out; when os.replace fails (here
+        # --out is an existing directory) it is removed again
+        target = tmp_path / "taken"
+        target.mkdir()
+        assert cli.main(["theory", "--lambda", "0.8", "--m", "10",
+                         "--out", str(target)]) == 3
+        assert f"error: cannot write {target}" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+        assert list(target.iterdir()) == []

@@ -44,6 +44,27 @@ class TestGenerateChannels:
                 assert np.array_equal(getattr(ch, gain), getattr(ref, gain))
 
 
+class TestChannelRealization:
+    def test_rejects_mismatched_shapes(self):
+        ch = mpr.generate_channels(3, 4, 0)
+        for direct, device_relay, relay_bs in (
+                (ch.direct, ch.device_relay[:2], ch.relay_bs),       # M of 2 vs 4
+                (ch.direct[:2], ch.device_relay, ch.relay_bs),       # K of 2 vs 3
+                (ch.direct, ch.device_relay, ch.relay_bs[None])):    # a stray batch axis
+            with pytest.raises(ValueError, match="gains must be"):
+                mpr.ChannelRealization(direct, device_relay, relay_bs)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, -math.inf)])
+    def test_rejects_non_finite_gains(self, bad):
+        ch = mpr.generate_channels(2, 3, 0)
+        for field in ("direct", "device_relay", "relay_bs"):
+            gains = {name: getattr(ch, name).copy()
+                     for name in ("direct", "device_relay", "relay_bs")}
+            gains[field].flat[-1] = bad
+            with pytest.raises(ValueError, match="finite"):
+                mpr.ChannelRealization(**gains)
+
+
 class TestCompositeMatrix:
     def test_hand_checkable(self):
         ch = mpr.ChannelRealization(
@@ -259,6 +280,15 @@ class TestSymbolErrorRate:
             mpr.symbol_error_rate(2, 1, 10.0, 0, 1)
         with pytest.raises(ValueError, match="trials"):
             mpr.symbol_errors(2, 2, 10.0, 0, np.random.default_rng(1))
+
+    def test_refuses_overload_before_drawing(self):
+        # a million trials at K = 200 > M+1 = 2 would be drawn and simulated
+        # before detect refused them; the refusal leaves the generator as it was
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        with pytest.raises(mpr.UnderdeterminedError, match="200 colliding devices"):
+            mpr.symbol_errors(200, 1, 10.0, 10**6, rng)
+        assert rng.bit_generator.state == state
 
     def test_rejects_fractional_counts(self):
         for k, m, trials in ((2, 2, 2.5), (2.5, 2, 10), (2, 1.5, 10)):

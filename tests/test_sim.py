@@ -150,6 +150,10 @@ class TestRun:
         with pytest.raises(ValueError, match="snr_db"):
             sim.SimConfig(PARAMS_DEFAULT, sim.PoissonProcess(0.8), 100, snr_db=20.0)
 
+    def test_rejects_unknown_rule(self):
+        with pytest.raises(ValueError, match="unknown success rule 'zf'"):
+            sim.SimConfig(PARAMS_DEFAULT, sim.PoissonProcess(0.8), 100, success_rule="zf")
+
     def test_rejects_fractional_counts(self):
         # both would otherwise fail later, inside math.isqrt
         for n, warmup in ((2.5, 10), (100, 10.5), (math.nan, 10)):
