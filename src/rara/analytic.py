@@ -64,6 +64,8 @@ class SystemParams:
         if not (self.lam >= 0 and self.lam * (self.m_relays + 1) <= sys.float_info.max):
             raise ValueError("traffic intensity must be >= 0 with lambda*(M+1) finite, "
                              f"got {self.lam}")
+        # -0.0 passes lam >= 0; + 0 stores it as the 0.0 every kernel expects
+        object.__setattr__(self, "lam", self.lam + 0)
 
     @property
     def durations(self) -> tuple[float, float, float, float]:
@@ -124,7 +126,8 @@ def check_grid(lam, m_relays=1, epsilon=DEFAULT_EPSILON):
             grid.append(np.asarray(values, dtype=float))
         except OverflowError:  # a Python int past the float range
             raise ValueError(f"{name} must fit in a float, got {values!r}") from None
-    lam, m, eps = np.broadcast_arrays(*grid)
+    # -0.0 passes lam >= 0; + 0.0 returns it as the 0.0 every kernel expects
+    lam, m, eps = np.broadcast_arrays(grid[0] + 0.0, *grid[1:])
     with np.errstate(over="ignore", invalid="ignore"):  # inf % 1, lambda*(M+1) overflow
         rules = (("relay counts must be integers >= 1", m, (m >= 1) & (m % 1 == 0)),
                  ("idle-session fractions must be in (0, 1]", eps, (eps > 0) & (eps <= 1)),

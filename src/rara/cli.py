@@ -108,7 +108,7 @@ def _as_kind(value, kind):
     if kind is int and isinstance(value, (int, str)):
         with contextlib.suppress(ValueError):
             return int(value)  # exact past 2**53, where float() would round
-    value = float(value)
+    value = float(value) + 0.0  # -0.0 reads as the 0.0 it equals
     if kind is int and not value.is_integer():
         raise ValueError(f"values must be integers, got {value!r}")
     return kind(value)
@@ -120,7 +120,10 @@ def parse_grid(text, kind=float) -> tuple:
     if not isinstance(text, str):
         values = text
     elif ":" not in text:
-        values = [p for p in text.split(",") if p.strip()]
+        values = text.split(",")
+        for i, value in enumerate(values, 1):
+            if not value.strip():
+                raise ValueError(f"entry {i} of comma list {text!r} is empty")
     else:
         parts = text.split(":")
         if len(parts) != 3:

@@ -12,11 +12,11 @@ one packet.  Relays forward with unit gain.
 
 Channels, reception and detection broadcast over leading batch axes, one
 collision per index; :func:`symbol_errors` alone draws trials and defines a
-decoded collision.  It draws them in batches of bounded size, which fix the
-random stream, and decodes each batch in smaller blocks, which bound the
-detector's temporaries and change no result.  Detection solves the normal
-equations through the inverse Gram matrix and keeps an SVD only for the
-rare trial whose condition bound nears the decodability threshold.
+decoded collision.  It works through them in blocks of bounded size, drawing,
+receiving and decoding each block in one pass, so the block size both fixes
+the random stream and bounds memory.  Detection solves the normal equations
+through the inverse Gram matrix and keeps an SVD only for the rare trial
+whose condition bound nears the decodability threshold.
 """
 
 from __future__ import annotations
@@ -39,12 +39,10 @@ QPSK = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / math.sqrt(2.0)
 # then has relative error <~ eps * b^2 = 2e-8 before one refinement step.
 _SCREEN = 1e4
 
-# Trials per draw batch and per decode block of symbol_errors up to
-# K(M+1) = 81, the (9, 8) size these were tuned on; fewer beyond, so a batch
-# holds at most _BATCH * 81 matrix entries and a block _BLOCK * 81.  The draw
-# batch fixes the order of the random stream; the decode block only bounds
-# the detector's temporaries.
-_BATCH = 8192
+# Trials per block of symbol_errors up to K(M+1) = 81, the (9, 8) size this
+# was tuned on; fewer beyond, so a block holds at most _BLOCK * 81 matrix
+# entries.  Each block is drawn and decoded in one pass, so this size fixes
+# the random stream as well as the memory in flight.
 _BLOCK = 512
 
 
@@ -178,7 +176,6 @@ def detect(h: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     x = gi @ (hh @ r[..., None])
     x += gi @ (hh @ (r[..., None] - h @ x))
     estimates = x[..., 0]
-    del hh  # peak memory stays that of the SVD it replaces
     # With E = Gi G - I, G^-1 = (I + E)^-1 Gi, so |G^-1| <= |Gi|_F / (1 - |E|_F)
     # and |G| <= tr G bound cond(H)^2 = |G| |G^-1|; rounding moves |E|_F by at
     # most about K eps b^2 < 1e-6 on a cleared trial.  The test b < _SCREEN is
@@ -238,39 +235,28 @@ def symbol_errors(k_devices: int, m_relays: int, snr_db: float, trials: int,
 
     A symbol is wrong if its hard decision is wrong or its trial's composite
     matrix has cond >= CONDITION_THRESHOLD; a collision decodes iff none of
-    its flags is set.  Channels, symbols and noise are drawn in batches of
-    8192 trials, and each batch is decoded in blocks of 512; both sizes
-    shrink in proportion when K(M+1) > 81, so a batch holds at most
-    8192 * 81 matrix entries and a block 512 * 81.  Only the draw batch
-    shapes the random stream, and :func:`detect` decodes each trial on its
-    own, so the flags do not depend on the block size (bar a block holding
-    an exactly singular Gram matrix, which :func:`detect` sends whole to the
-    SVD).  SNR is per received symbol, for relay and BS noise alike, with
-    the domain of :func:`noise_variance`.  K > M+1 is refused, as by
-    :func:`detect`, before anything is drawn from ``rng``.
+    its flags is set.  Trials run in blocks of 512, fewer in proportion when
+    K(M+1) > 81, so a block holds at most 512 * 81 matrix entries.  Each
+    block's channels, symbols and noise are drawn, received and decoded
+    before the next block is drawn, so a run's leading blocks do not depend
+    on how many trials follow them.  SNR is per received symbol, for relay
+    and BS noise alike, with the domain of :func:`noise_variance`.  K > M+1
+    is refused, as by :func:`detect`, before anything is drawn from ``rng``.
     """
     for name, count in (("device count", k_devices), ("relay count", m_relays),
                         ("trials", trials)):
         check_count(name, count, 1)
     _check_determined(k_devices, m_relays + 1)  # before anything is drawn
     noise_var = noise_variance(snr_db)
-    entries = max(81, k_devices * (m_relays + 1))
-    size = max(1, _BATCH * 81 // entries)
-    block = max(1, _BLOCK * 81 // entries)
+    block = max(1, _BLOCK * 81 // max(81, k_devices * (m_relays + 1)))
     errors = np.empty((trials, k_devices), dtype=bool)
-    for start in range(0, trials, size):
-        n = min(size, trials - start)
+    for start in range(0, trials, block):
+        n = min(block, trials - start)
         ch = _draw_channels(rng, k_devices, m_relays, (n,))
         symbols = QPSK[rng.integers(0, 4, (n, k_devices))]
         r = simulate_reception(ch, symbols, noise_var, rng)
-        batch_errors = errors[start:start + n]
-        for lo in range(0, n, block):
-            part = slice(lo, lo + block)
-            h = composite_matrix(ChannelRealization(
-                ch.direct[part], ch.device_relay[part], ch.relay_bs[part]))
-            estimates, ok = detect(h, r[part])
-            batch_errors[part] = (nearest_qpsk(estimates) != symbols[part]) | ~ok[:, None]
-        del ch, symbols, r  # so the next batch is not drawn beside this one
+        estimates, ok = detect(composite_matrix(ch), r)
+        errors[start:start + n] = (nearest_qpsk(estimates) != symbols) | ~ok[:, None]
     return errors
 
 

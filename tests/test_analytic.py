@@ -277,9 +277,17 @@ class TestOccupancy:
 
 class TestOutageAndThroughput:
     def test_zero_rate(self):
-        params = A.SystemParams(0.0, 10, 0.1)
-        assert A.outage_exact(params) == 0.0
-        assert A.throughput_exact(params).throughput == 0.0
+        # -0.0 passes lambda >= 0; left as -0.0 it would make sqrt(M / lambda) NaN
+        for lam in (0.0, -0.0):
+            params = A.SystemParams(lam, 10, 0.1)
+            assert math.copysign(1.0, params.lam) == 1.0
+            assert A.outage_exact(params) == 0.0
+            assert A.throughput_exact(params).throughput == 0.0
+            assert A.throughput_approx(params) == A.outage_approx(params) == 0.0
+            grid = np.array([lam, 0.8])
+            assert math.copysign(1.0, A.check_grid(grid, 10)[0][0]) == 1.0
+            assert [a[0] for a in A.gaussian_approx(grid, 10)] == [0.0, 0.0]
+            assert math.copysign(1.0, A.asymptotic_throughput(lam)) == 1.0
 
     def test_outage_approaches_one_above_unit_load(self):
         assert A.outage_exact(A.SystemParams(1.5, 400, 0.1)) == pytest.approx(1.0, abs=1e-3)

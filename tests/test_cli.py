@@ -43,6 +43,13 @@ class TestParseGrid:
         assert cli.parse_grid("0.4,0.8") == (0.4, 0.8)
         assert cli.parse_grid("1,5,10", int) == (1, 5, 10)
 
+    def test_empty_entry_refused_not_dropped(self):
+        # "1,,3" would run 2 rows and "0.8," the one row of "0.8"
+        for text, entry in (("1,,3", 2), ("0.8,", 2), (",0.8", 1), ("0.4, ,0.8", 2)):
+            with pytest.raises(ValueError, match=f"entry {entry} of comma list .* is empty"):
+                cli.parse_grid(text)
+        assert cli.parse_grid(" 0.4 , 0.8 ") == (0.4, 0.8)
+
     def test_range(self):
         assert cli.parse_grid("1:5:1", int) == (1, 2, 3, 4, 5)
         grid = cli.parse_grid("0.1:0.5:0.1")
@@ -132,13 +139,17 @@ class TestTheoryMode:
         assert eta[0] > eta[4] and eta[29] > eta[4]
 
     def test_zero_rate_all_zero(self, tmp_path):
+        # -0.0 passes lambda >= 0; left as -0.0 it would make the Gaussian
+        # approximations nan, and it must give the lambda = 0 rows byte for byte
         out = tmp_path / "z.csv"
-        assert cli.main(["theory", "--lambda", "0", "--m", "3,7",
+        assert cli.main(["theory", "--lambda=-0.0,0", "--m", "3,7",
                          "--out", str(out)]) == 0
-        for row in read_csv(out):
+        rows = read_csv(out)
+        assert rows[:2] == rows[2:]
+        for row in rows:
             for col in ("throughput_exact", "throughput_approx",
-                        "outage_exact", "outage_approx"):
-                assert float(row[col]) == 0.0
+                        "outage_exact", "outage_approx", "asymptotic_throughput"):
+                assert row[col] == "0.0"
 
     def test_header_stable(self, tmp_path):
         out = tmp_path / "h.csv"

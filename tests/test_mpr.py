@@ -296,38 +296,46 @@ class TestSymbolErrorRate:
                 mpr.symbol_error_rate(k, m, 10.0, trials, 1)
 
     def test_batch_memory_is_bounded(self):
-        # K(M+1) = 289 cuts the 8192 trials into batches of 2296, so the
-        # arrays in flight stay near those of 8192 trials at (9, 8); one
-        # batch of all 8192 trials would peak near 200 MB.  At (9, 8) the
-        # one draw batch holds about 11 MB of channels and is decoded in
-        # blocks of 512 trials; decoding it whole peaked near 60 MB
-        for k, m, bound in ((17, 16, 100e6), (9, 8, 30e6)):
+        # 8192 trials run as 16 blocks of 512 at (9, 8) and 58 blocks of 143
+        # at (17, 16), each drawn and decoded before the next is drawn, so
+        # only the (trials, K) flags outgrow one block: both peak near 4.5 MB.
+        # Drawing all 8192 trials before decoding any peaks near 17 MB, so
+        # the bound fails a return to batch-sized draws
+        for k, m in ((17, 16), (9, 8)):
             tracemalloc.start()
             try:
                 mpr.symbol_errors(k, m, 20.0, 8192, np.random.default_rng(1))
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < bound, (k, m)
+            assert peak < 10e6, (k, m)
 
-    def test_decode_blocks_match_whole_batch_decode(self):
-        # K(M+1) = 289 draws batches of 2296 trials and decodes blocks of
-        # 143: these trials span two draw batches and 22 decode blocks, yet
-        # match decoding each draw batch whole
+    def test_each_block_is_drawn_received_and_decoded_in_turn(self):
+        # K(M+1) = 289 > 81 cuts blocks of 512 * 81 // 289 = 143 trials:
+        # these trials span three whole blocks and part of a fourth
         k, m, snr_db = 17, 16, 12.0
-        size = mpr._BATCH * 81 // (k * (m + 1))
-        trials = size + 700
+        block = 512 * 81 // (k * (m + 1))
+        trials = 3 * block + 50
         errors = mpr.symbol_errors(k, m, snr_db, trials, np.random.default_rng(5))
         rng = np.random.default_rng(5)
-        whole = []
-        for n in (size, trials - size):
+        by_hand = []
+        for n in (block, block, block, 50):
             ch = mpr._draw_channels(rng, k, m, (n,))
             s = mpr.QPSK[rng.integers(0, 4, (n, k))]
             r = mpr.simulate_reception(ch, s, mpr.noise_variance(snr_db), rng)
             estimates, ok = mpr.detect(mpr.composite_matrix(ch), r)
-            whole.append((mpr.nearest_qpsk(estimates) != s) | ~ok[:, None])
-        assert np.array_equal(errors, np.concatenate(whole))
+            by_hand.append((mpr.nearest_qpsk(estimates) != s) | ~ok[:, None])
+        assert np.array_equal(errors, np.concatenate(by_hand))
         assert 0 < np.count_nonzero(errors) < errors.size
+
+    def test_leading_blocks_do_not_depend_on_the_trials_after_them(self):
+        # two whole blocks of 512 at (4, 4), then a short or a long tail
+        k, m, snr_db = 4, 4, 8.0
+        head = mpr.symbol_errors(k, m, snr_db, 1024, np.random.default_rng(7))
+        for trials in (1024 + 1, 1024 + 3000):
+            errors = mpr.symbol_errors(k, m, snr_db, trials, np.random.default_rng(7))
+            assert np.array_equal(errors[:1024], head), trials
+        assert 0 < np.count_nonzero(head) < head.size
 
     def test_rejects_nan_and_minus_inf_snr(self):
         # +inf is the noiseless case; these two would give NaN observations
@@ -342,9 +350,9 @@ class TestSymbolErrorRate:
         b = mpr.symbol_error_rate(2, 2, 15.0, 5000, 9)
         assert a == b
         # pinned values guard the random stream; the second call has K = M+1
-        # and spans three chunks
-        assert a == 0.0101
-        assert mpr.symbol_error_rate(9, 8, 20.0, 20_000, 3) == 0.05112222222222222
+        # and spans 40 blocks
+        assert a == 0.0092
+        assert mpr.symbol_error_rate(9, 8, 20.0, 20_000, 3) == 0.05016111111111111
 
     def test_ill_conditioned_trial_counts_all_symbols_wrong(self, monkeypatch):
         # shrink one column of trial 0 so cond(H) ~ 1e12: noiseless decisions
