@@ -171,41 +171,70 @@ def _walk(model, durations, n_sessions: int, rng: np.random.Generator) -> np.nda
     """Contender counts K of ``n_sessions`` consecutive sessions, the first
     following a session of length 1.
 
-    A session's K is the inverse CDF of one uniform u in the table row of
-    the class (Idle, Single, Long) of the session before it.  Every block of
-    isqrt(n_sessions) sessions is walked in lockstep from each entry class,
-    the three walks of a block sharing its uniforms; a step needs only the
-    next class, (u >= F_c(0)) + (u >= F_c(1)), never K.  Each block then
-    takes the walk starting in the class its predecessor ended in.  The
-    uniforms do not depend on that choice, so this is the exact chain.  K is
-    recovered afterwards along the chosen path, with one table search per
-    Long session.
+    A session's K is ``searchsorted(F_c, u, side="right")`` for one uniform
+    u, in the table row F_c of the class c (Idle, Single, Long) of the
+    session before it.  The uniforms are drawn as ``u`` of shape
+    (isqrt(n_sessions), n_blocks), session i taking ``u.T.ravel()[i]``:
+    a block is a column.  Every block is walked in lockstep from each entry
+    class, the three walks of a block sharing its uniforms.  A walk is at a
+    flat position c * n_blocks + b, and ``nxt[step]`` maps each position
+    to the next, whose class is (u >= F_c(0)) + (u >= F_c(1)), so a step
+    is one ``take`` that chases the positions: no search and no K.  The
+    blocks are then chained: each enters one position past where its
+    predecessor's chosen walk ended, in the class that walk ended in.  The
+    uniforms do not depend on that choice, so this is the exact chain.
+
+    K is then read along the chosen path from a guide table, the indexed
+    search of Chen & Asau (1974; Devroye, *Non-Uniform Random Variate
+    Generation*, III.2.4).  With g buckets, ``guide[j, c]`` is the first k
+    with F_c(k) > j / g.  For j = floor(u g) that k is never past the
+    answer, since u >= j / g, and it is the answer unless F_c(k) <= u: for
+    at most about width / g of the sessions, which are then searched in
+    their row.  g is a power of two, so u g and j / g are exact and every K
+    is ``searchsorted``'s.  g is 4 times the row width rounded up to a
+    power of two, but no more than n_sessions rounded so, lest building
+    the guide cost more than it saves.  A K below 2 is its session's
+    class, and it is read the same way.
     """
     table = _cdf_table(model, durations)
     size = math.isqrt(n_sessions)
     n_blocks = -(-n_sessions // size)
     u = rng.random((size, n_blocks))
-    # the next class from each of the three current ones, per step and block
-    nxt = ((u[..., None] >= table[:, 0]).astype(np.int8)
-           + (u[..., None] >= table[:, 1])).reshape(size, 3 * n_blocks)
-    cls = np.empty((size + 1, n_blocks, 3), dtype=np.int8)
-    cls[0] = np.arange(3)
-    # cls[step + 1][b, j] = nxt[step][b, cls[step][b, j]] on the flat layout
-    offset = 3 * np.arange(n_blocks)[:, None]
-    for step in range(size):
-        cls[step + 1] = nxt[step].take(offset + cls[step])
-    entry, exits = [1], cls[size].tolist()
-    for block in range(n_blocks - 1):
-        entry.append(exits[block][entry[-1]])
-    path = cls[:, np.arange(n_blocks), entry].T
-    before = path[:, :-1].ravel()[:n_sessions]
-    k = path[:, 1:].ravel()[:n_sessions].astype(np.int64)
-    u = u.T.ravel()[:n_sessions]
-    # a class below 2 is its K; a Long one is searched for in the row of
-    # the class before it
-    long = np.flatnonzero(k == 2)
+    # the narrowest signed int that holds every flat position
+    itype = np.min_scalar_type(-3 * n_blocks)
+    nxt = np.empty((size, 3, n_blocks), dtype=itype)
     for c in range(3):
-        of_c = long[before[long] == c]
+        np.add(u >= table[c, 0], u >= table[c, 1], out=nxt[:, c], dtype=itype)
+    nxt *= n_blocks  # next class c' at block b -> position c' * n_blocks + b
+    nxt += np.arange(n_blocks, dtype=itype)
+    nxt = nxt.reshape(size, 3 * n_blocks)
+    pos = np.empty((size + 1, 3 * n_blocks), dtype=itype)
+    pos[0] = np.arange(3 * n_blocks)
+    for step in range(size):
+        # every index is in range, and "clip" writes to out unbuffered
+        nxt[step].take(pos[step], out=pos[step + 1], mode="clip")
+    del nxt
+    ends, path = pos[size].tolist(), [n_blocks]  # block 0 enters in class 1
+    for _ in range(n_blocks - 1):
+        path.append(ends[path[-1]] + 1)
+    before = pos[:size, path]
+    del pos
+    before //= n_blocks
+    before = before.T.ravel()[:n_sessions]
+    u = u.T.ravel()[:n_sessions]
+    # guide[j, c] is the first k with F_c(k) > j / g and bound[j, c] is F_c
+    # there, laid out so that bucket j of class c is at 3j + c
+    g = 1 << (min(4 * table.shape[1], n_sessions) - 1).bit_length()
+    guide = np.stack([np.searchsorted(row, np.arange(g) / g, side="right")
+                      for row in table], axis=1)
+    bound = np.take_along_axis(table.T, guide, axis=0)
+    start = (u * g).astype(np.intp)
+    start *= 3
+    start += before
+    far = np.flatnonzero(bound.ravel().take(start) <= u)  # K past the guide
+    k = guide.ravel().take(start)
+    for c in range(3):
+        of_c = far[before[far] == c]
         k[of_c] = np.searchsorted(table[c], u[of_c], side="right")
     return k
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -119,6 +120,55 @@ class TestCdfTable:
             assert counts[~seen].sum() <= 2
 
 
+def _walk_by_session(model, durations, n_sessions, rng):
+    """The chain of :func:`sim._walk` stepped one session at a time: the
+    same uniforms in the same block-major order, each K the row search of
+    the class before it, the first session following class 1."""
+    table = sim._cdf_table(model, durations)
+    size = math.isqrt(n_sessions)
+    u = rng.random((size, -(-n_sessions // size))).T.ravel()[:n_sessions]
+    k, c = [], 1
+    for x in u:
+        k.append(int(np.searchsorted(table[c], x, side="right")))
+        c = min(k[-1], 2)
+    return np.array(k)
+
+
+# (law, params): both laws, no traffic, a row of ~7000 entries, and a
+# population that fits in one Long session
+WALK_CASES = {
+    "poisson": (sim.PoissonProcess(0.8), A.SystemParams(0.8, 10, 0.1)),
+    "finite": (sim.FinitePopulation.from_traffic(0.8, 50), A.SystemParams(0.8, 10, 0.1)),
+    "zero-rate": (sim.PoissonProcess(0.0), A.SystemParams(0.0, 10, 0.1)),
+    "long-row": (sim.PoissonProcess(2.0), A.SystemParams(2.0, 3200, 0.1)),
+    "small-population": (sim.FinitePopulation(5, 0.5), A.SystemParams(2.5, 10, 0.1)),
+}
+
+
+class TestWalk:
+    @pytest.mark.parametrize("n", [1, 2, 3, 37, 10_007])
+    @pytest.mark.parametrize("case", list(WALK_CASES))
+    def test_matches_session_by_session_chain(self, case, n):
+        model, params = WALK_CASES[case]
+        durations = params.durations[:3]
+        k = sim._walk(model, durations, n, np.random.default_rng(n))
+        assert np.array_equal(k, _walk_by_session(model, durations, n, np.random.default_rng(n)))
+
+    def test_memory_is_bounded(self):
+        # 1,001,000 sessions hold 8 MB of uniforms; the int16 positions, the
+        # class-major transition table and the guide lookup's temporaries
+        # keep the peak near 32 MB.  A walk that gathers each Long session
+        # per class with intp copies peaks near 55 MB, so the bound fails it
+        durations = PARAMS_DEFAULT.durations[:3]
+        tracemalloc.start()
+        try:
+            sim._walk(sim.PoissonProcess(0.8), durations, 1_001_000, np.random.default_rng(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50e6
+
+
 class TestRun:
     def test_zero_rate_all_idle(self):
         cfg = sim.SimConfig(A.SystemParams(0.0, 10, 0.1),
@@ -131,6 +181,22 @@ class TestRun:
     def test_determinism(self):
         cfg = sim.SimConfig(PARAMS_DEFAULT, sim.PoissonProcess(0.8), 20_000, seed=42)
         assert sim.run(cfg) == sim.run(cfg)
+
+    @pytest.mark.parametrize("cfg, counts", [
+        (sim.SimConfig(PARAMS_DEFAULT, sim.PoissonProcess(0.8), 20_000, seed=42),
+         ((1410, 182, 15146, 3262), 162225, 118528)),
+        (sim.SimConfig(PARAMS_DEFAULT, sim.FinitePopulation.from_traffic(0.8, 50),
+                       20_000, seed=7),
+         ((596, 131, 17250, 2023), 157346, 131203)),
+        (sim.SimConfig(A.SystemParams(0.8, 4, 0.1), sim.PoissonProcess(0.8), 3000,
+                       seed=11, success_rule=sim.PHY_COUPLED, snr_db=10.0),
+         ((1867, 309, 538, 286), 3771, 2013)),
+    ], ids=["poisson", "finite", "phy"])
+    def test_seeded_counts_are_pinned(self, cfg, counts):
+        # seeded runs give the same integers on every commit, not only
+        # twice within one: a faster walk must not change the stream
+        rep = sim.run(cfg)
+        assert (rep.sessions_by_state, rep.packets_arrived, rep.packets_delivered) == counts
 
     def test_agrees_with_theory(self):
         cfg = sim.SimConfig(PARAMS_DEFAULT, sim.PoissonProcess(0.8), 10**6, seed=42)
