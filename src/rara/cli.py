@@ -220,13 +220,25 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _map_rows(fn, grid: list, seeds: list[int]) -> list:
+def _map_rows(fn, grid: list, seeds: list[int], cost) -> list:
     """``[fn(cell, seed) for cell, seed in zip(grid, seeds)]``, the calls
-    spread over one thread per CPU, at most one per row.  Results come back
-    in grid order, so the list does not depend on the thread count; the
-    first row to raise, in grid order, raises here."""
+    spread over one thread per CPU, at most one per row.  Rows are handed to
+    the pool heaviest first by ``cost(cell)`` (Graham's longest-processing-
+    time rule; a stable sort, so rows of equal cost keep grid order), so the
+    costliest rows do not start last.  Results come back in grid order, so
+    the list does not depend on the thread count or the dispatch order; the
+    first row to raise, in grid order, raises here, and the rows not yet
+    started are cancelled."""
+    order = sorted(range(len(grid)), key=lambda i: cost(grid[i]), reverse=True)
     with ThreadPoolExecutor(max(1, min(_cpus(), len(grid)))) as pool:
-        return list(pool.map(fn, grid, seeds))
+        futures = [None] * len(grid)
+        for i in order:
+            futures[i] = pool.submit(fn, grid[i], seeds[i])
+        try:
+            return [future.result() for future in futures]
+        finally:
+            for future in futures:
+                future.cancel()
 
 
 def build_rows(spec: ExperimentSpec) -> tuple[list[str], list[dict]]:
@@ -246,6 +258,9 @@ def build_rows(spec: ExperimentSpec) -> tuple[list[str], list[dict]]:
 
         def evaluate(cell, seed):
             return mpr.symbol_error_rate(*cell, spec.snr_db, spec.n_sessions, seed)
+
+        def cost(cell):  # matrix entries K(M+1) per trial
+            return cell[0] * (cell[1] + 1)
     else:
         grid = [(lam, m) for lam in spec.lambda_grid for m in spec.m_grid]
         columns = _theory_columns(*(np.array(v) for v in zip(*grid)), spec.epsilon)
@@ -253,10 +268,13 @@ def build_rows(spec: ExperimentSpec) -> tuple[list[str], list[dict]]:
         def evaluate(cell, seed):
             return sim.run(sim.SimConfig(analytic.SystemParams(*cell, spec.epsilon),
                                          sim.PoissonProcess(cell[0]), spec.n_sessions, seed))
+
+        def cost(cell):  # every row walks the same number of sessions
+            return spec.n_sessions
     if spec.mode == "theory":
         return _table(columns)
     seeds = sim.derive_seeds(spec.seed, len(grid))
-    results = _map_rows(evaluate, grid, seeds)
+    results = _map_rows(evaluate, grid, seeds, cost)
     runs = [spec.n_sessions] * len(grid)
     if spec.mode == "phy":
         columns.update(snr_db=[spec.snr_db] * len(grid), ser=results, trials=runs, seed=seeds)

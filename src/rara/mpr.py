@@ -14,9 +14,13 @@ Channels, reception and detection broadcast over leading batch axes, one
 collision per index; :func:`symbol_errors` alone draws trials and defines a
 decoded collision.  It works through them in blocks of bounded size, drawing,
 receiving and decoding each block in one pass, so the block size both fixes
-the random stream and bounds memory.  Detection solves the normal equations
-through the inverse Gram matrix and keeps an SVD only for the rare trial
-whose condition bound nears the decodability threshold.
+the random stream and bounds memory.  Each draw site fills all of its
+Gaussians with one ``standard_normal`` call (the channels' three gains, then
+reception's n and w), the stream of one fill per array, and the composite
+matrix is written into one array, so a block makes few temporaries.
+Detection solves the normal equations through the inverse Gram matrix and
+keeps an SVD only for the rare trial whose condition bound nears the
+decodability threshold.
 """
 
 from __future__ import annotations
@@ -73,7 +77,7 @@ class ChannelRealization:
             raise ValueError(f"gains must be {(*batch, m, k)} device-relay and {(*batch, m)} "
                              f"relay-BS, got {self.device_relay.shape}, {self.relay_bs.shape}")
         for a in (self.direct, self.device_relay, self.relay_bs):
-            if not np.all(np.isfinite(a)):
+            if not np.isfinite(a).all():
                 raise ValueError("channel gains must be finite")
 
 
@@ -84,25 +88,31 @@ class DetectionResult:
     success: bool
 
 
-def _cn(rng: np.random.Generator, shape) -> np.ndarray:
-    """Circularly-symmetric complex Gaussian, unit variance per entry."""
-    z = np.empty(shape, dtype=complex)
-    z.real = rng.standard_normal(shape)
-    z.imag = rng.standard_normal(shape)
+def _cn(rng: np.random.Generator, *shapes) -> list[np.ndarray]:
+    """Circularly-symmetric complex Gaussian arrays of the given shapes, unit
+    variance per entry, from one fill of ``rng``: each array's real parts,
+    then its imaginary parts, in turn, the stream of drawing them one
+    ``standard_normal`` call at a time."""
+    sizes = [math.prod(shape) for shape in shapes]
+    normals = rng.standard_normal(2 * sum(sizes))
+    z = np.empty(sum(sizes), dtype=complex)
     # the same bits as dividing by complex(sqrt(2)), which numpy does as a
     # multiply by the reciprocal
-    parts = z.ravel().view(np.float64)
-    parts *= 1.0 / math.sqrt(2.0)
-    return z
+    scale = 1.0 / math.sqrt(2.0)
+    out, start = [], 0
+    for shape, size in zip(shapes, sizes):
+        part, pair = z[start:start + size], normals[2 * start:2 * (start + size)]
+        np.multiply(pair[:size], scale, out=part.real)
+        np.multiply(pair[size:], scale, out=part.imag)
+        out.append(part.reshape(shape))
+        start += size
+    return out
 
 
 def _draw_channels(rng: np.random.Generator, k_devices: int, m_relays: int,
                    batch: tuple = ()) -> ChannelRealization:
-    return ChannelRealization(
-        direct=_cn(rng, (*batch, k_devices)),
-        device_relay=_cn(rng, (*batch, m_relays, k_devices)),
-        relay_bs=_cn(rng, (*batch, m_relays)),
-    )
+    return ChannelRealization(*_cn(rng, (*batch, k_devices), (*batch, m_relays, k_devices),
+                                   (*batch, m_relays)))
 
 
 def generate_channels(k_devices: int, m_relays: int, rng_seed: int) -> ChannelRealization:
@@ -115,8 +125,12 @@ def generate_channels(k_devices: int, m_relays: int, rng_seed: int) -> ChannelRe
 def composite_matrix(ch: ChannelRealization) -> np.ndarray:
     """(..., M+1, K) effective channel: row 1 is the direct link, row m+1 the
     m-th relay's forwarded copy g_m * h_{m,k}."""
-    return np.concatenate([ch.direct[..., None, :],
-                           ch.relay_bs[..., None] * ch.device_relay], axis=-2)
+    *batch, m, k = ch.device_relay.shape
+    h = np.empty((*batch, m + 1, k), dtype=np.result_type(ch.direct, ch.device_relay,
+                                                           ch.relay_bs))
+    h[..., 0, :] = ch.direct
+    np.multiply(ch.relay_bs[..., None], ch.device_relay, out=h[..., 1:, :])
+    return h
 
 
 def simulate_reception(ch: ChannelRealization, symbols: np.ndarray, noise_var: float,
@@ -128,9 +142,11 @@ def simulate_reception(ch: ChannelRealization, symbols: np.ndarray, noise_var: f
         raise ValueError(f"noise_var must be finite and >= 0, got {noise_var}")
     rng = np.random.default_rng(rng_seed)
     heard = np.einsum('...mk,...k->...m', ch.device_relay, symbols)
-    r = _cn(rng, (*heard.shape[:-1], heard.shape[-1] + 1)) * math.sqrt(noise_var)
+    r, w = _cn(rng, (*heard.shape[:-1], heard.shape[-1] + 1), heard.shape)
+    r *= math.sqrt(noise_var)
     r[..., 0] += np.einsum('...k,...k->...', ch.direct, symbols)
-    heard += _cn(rng, heard.shape) * math.sqrt(noise_var)
+    w *= math.sqrt(noise_var)
+    heard += w
     r[..., 1:] += ch.relay_bs * heard
     return r
 
@@ -175,17 +191,19 @@ def detect(h: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         gi = np.full_like(g, np.nan)
     x = gi @ (hh @ r[..., None])
     x += gi @ (hh @ (r[..., None] - h @ x))
+    del hh  # its memory can take the residual
     estimates = x[..., 0]
     # With E = Gi G - I, G^-1 = (I + E)^-1 Gi, so |G^-1| <= |Gi|_F / (1 - |E|_F)
     # and |G| <= tr G bound cond(H)^2 = |G| |G^-1|; rounding moves |E|_F by at
     # most about K eps b^2 < 1e-6 on a cleared trial.  The test b < _SCREEN is
     # made without a division, and asarray keeps a lone matrix's flag writable.
     residual = gi @ g
-    residual -= np.eye(k)
+    diagonal = np.einsum('...ii->...i', residual)  # a view
+    diagonal -= 1.0
     ok = np.asarray(np.einsum('...ii->...', g).real * _frobenius(gi)
                     < _SCREEN ** 2 * (1.0 - _frobenius(residual)))
-    rest = ~ok
-    if rest.any():
+    if not ok.all():
+        rest = ~ok
         h_rest = h[rest]
         # a NaN or inf in H always fails the screen, so it is caught here
         if not np.all(np.isfinite(h_rest)):
@@ -255,7 +273,9 @@ def symbol_errors(k_devices: int, m_relays: int, snr_db: float, trials: int,
         ch = _draw_channels(rng, k_devices, m_relays, (n,))
         symbols = QPSK[rng.integers(0, 4, (n, k_devices))]
         r = simulate_reception(ch, symbols, noise_var, rng)
-        estimates, ok = detect(composite_matrix(ch), r)
+        h = composite_matrix(ch)
+        del ch  # the gains are not read again, so detect runs without them
+        estimates, ok = detect(h, r)
         errors[start:start + n] = (nearest_qpsk(estimates) != symbols) | ~ok[:, None]
     return errors
 

@@ -155,16 +155,20 @@ def _cdf_table(model, durations) -> np.ndarray:
     into its neighbour and is never drawn.
     """
     durations = np.asarray(durations, dtype=float)[:, None]
-    size = 64
+    # the table doubles from 64 columns, and each doubling evaluates only the
+    # columns it adds: cdf is elementwise, so earlier columns cannot change
+    parts, size = [], 0
     while True:
-        table = model.cdf(np.arange(size), durations)
-        done = np.flatnonzero(np.all(table == 1.0, axis=0))
+        stop = min(max(64, 2 * size), MAX_ARRIVALS + 1)
+        parts.append(model.cdf(np.arange(size, stop), durations))
+        done = np.flatnonzero(np.all(parts[-1] == 1.0, axis=0))
         if done.size:
-            return table[:, :max(2, done[0] + 1)]
-        if size > MAX_ARRIVALS:
+            parts[-1] = parts[-1][:, :max(2, size + done[0] + 1) - size]
+            return np.concatenate(parts, axis=1)
+        if stop > MAX_ARRIVALS:
             raise ValueError(f"arrivals over a session of {durations.max():g} units "
                              f"can exceed {MAX_ARRIVALS}, the most the walk tabulates")
-        size = min(2 * size, MAX_ARRIVALS + 1)
+        size = stop
 
 
 def _walk(model, durations, n_sessions: int, rng: np.random.Generator) -> np.ndarray:

@@ -262,6 +262,25 @@ class TestConcurrentRows:
             assert cli.main(args + ["--out", str(out)]) == 0
             assert out.read_bytes() == default.read_bytes()
 
+    def test_heaviest_phy_rows_start_first(self, tmp_path, monkeypatch):
+        # one thread enters the rows in the order they are handed to the pool:
+        # descending K(M+1), ties in grid order; the table stays in grid order
+        entered = []
+        real = mpr.symbol_error_rate
+
+        def recording(k, m, *rest):
+            entered.append((k, m))
+            return real(k, m, *rest)
+
+        monkeypatch.setattr(mpr, "symbol_error_rate", recording)
+        monkeypatch.setattr(cli, "_cpus", lambda: 1)
+        out = tmp_path / "out.csv"
+        assert cli.main(self.ARGS[0] + ["--out", str(out)]) == 0
+        grid = [(k, m) for m in (1, 2, 4) for k in range(1, m + 2)]
+        assert entered == sorted(grid, key=lambda cell: cell[0] * (cell[1] + 1), reverse=True)
+        assert entered != grid
+        assert [(int(row["k"]), int(row["m"])) for row in read_csv(out)] == grid
+
     # the rows that fail: (k, M) = (2, 2) of phy, and M = 3 of compare
     @pytest.mark.parametrize("args, module, name, fails", [
         (ARGS[0], mpr, "symbol_error_rate", lambda k, m, *rest: (k, m) == (2, 2)),

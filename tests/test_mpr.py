@@ -145,6 +145,60 @@ class TestSimulateReception:
                 mpr.simulate_reception(ch, mpr.QPSK[np.array([1, 3])], noise_var, 77)
 
 
+def bits(a: np.ndarray) -> tuple:
+    """An array's shape, dtype and bytes: equal only if equal bit for bit,
+    telling -0.0 from 0.0."""
+    return a.shape, a.dtype, np.ascontiguousarray(a).tobytes()
+
+
+def cn_one_fill_per_array(rng, shape):
+    """A complex Gaussian array drawn as two fills of its own, real parts
+    then imaginary parts, each scaled by 1/sqrt(2)."""
+    z = np.empty(shape, dtype=complex)
+    z.real = rng.standard_normal(shape)
+    z.imag = rng.standard_normal(shape)
+    parts = z.reshape(-1).view(np.float64)
+    parts *= 1.0 / math.sqrt(2.0)
+    return z
+
+
+class TestOneFillPerDrawSite:
+    # each draw site fills every array it needs with one standard_normal call;
+    # that is the stream of one fill per array, and leaves rng in its state
+    @pytest.mark.parametrize("batch", [(), (7,)])
+    def test_channels_are_the_stream_of_one_fill_per_array(self, batch):
+        k, m = 3, 4
+        rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
+        ch = mpr._draw_channels(rng, k, m, batch)
+        ref = [cn_one_fill_per_array(ref_rng, shape)
+               for shape in ((*batch, k), (*batch, m, k), (*batch, m))]
+        for gain, want in zip(("direct", "device_relay", "relay_bs"), ref):
+            assert bits(getattr(ch, gain)) == bits(want), gain
+        assert rng.random() == ref_rng.random()
+
+    @pytest.mark.parametrize("batch, noise_var", [((), 0.3), ((5,), 0.3), ((5,), 0.0)])
+    def test_reception_is_the_stream_of_n_then_w(self, batch, noise_var):
+        k, m = 3, 4
+        ch = mpr._draw_channels(np.random.default_rng(2), k, m, batch)
+        s = mpr.QPSK[np.random.default_rng(3).integers(0, 4, (*batch, k))]
+        rng, ref_rng = np.random.default_rng(12), np.random.default_rng(12)
+        r = mpr.simulate_reception(ch, s, noise_var, rng)
+        heard = np.einsum('...mk,...k->...m', ch.device_relay, s)
+        want = cn_one_fill_per_array(ref_rng, (*batch, m + 1)) * math.sqrt(noise_var)
+        want[..., 0] += np.einsum('...k,...k->...', ch.direct, s)
+        heard += cn_one_fill_per_array(ref_rng, (*batch, m)) * math.sqrt(noise_var)
+        want[..., 1:] += ch.relay_bs * heard
+        assert bits(r) == bits(want)
+        assert rng.random() == ref_rng.random()
+
+    @pytest.mark.parametrize("batch", [(), (7,)])
+    def test_composite_matrix_is_the_concatenation(self, batch):
+        ch = mpr._draw_channels(np.random.default_rng(13), 3, 4, batch)
+        want = np.concatenate([ch.direct[..., None, :],
+                               ch.relay_bs[..., None] * ch.device_relay], axis=-2)
+        assert bits(mpr.composite_matrix(ch)) == bits(want)
+
+
 class TestDecorrelate:
     def test_identity_channel(self):
         s = mpr.QPSK[np.array([0, 2])]
