@@ -14,16 +14,18 @@ A session's length depends only on its contender count K, so K alone is a
 Markov chain.  :func:`run` draws one uniform per session and reads K off
 the CDF table of the arrival law over the length of the session before it
 (inverse-transform sampling), for Poisson and finite-population arrivals
-alike.  The walk runs in blocks of array steps, not per session.  Every
-table row ends in exactly 1.0, so a K whose probability per session is
-below about 2**-53 cannot be drawn.
+alike.  The table is built once, by :class:`SimConfig`.  The walk runs in
+blocks of array steps, not per session.  Every table row ends in exactly
+1.0, so a K whose probability per session is below about 2**-53 cannot be
+drawn.  The counted sessions are then summed once, into session and packet
+counts per (batch, state), and every output is read from those two tables.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special
@@ -103,6 +105,8 @@ class SimConfig:
     success_rule: str = THRESHOLD
     snr_db: float | None = None
     warmup_sessions: int = DEFAULT_WARMUP
+    # the CDF table of the arrival law that run walks, built once, here
+    _table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_count("session count", self.n_sessions, 1)
@@ -112,7 +116,7 @@ class SimConfig:
         if isinstance(self.arrivals, PoissonProcess) and self.arrivals.lam != self.params.lam:
             raise ValueError(f"arrival rate {self.arrivals.lam} differs from "
                              f"params.lam {self.params.lam}")
-        check_arrivals(self.arrivals, self.params.m_relays)
+        object.__setattr__(self, "_table", _cdf_table(self.arrivals, self.params.durations[:3]))
         if self.success_rule not in (THRESHOLD, PHY_COUPLED):
             raise ValueError(f"unknown success rule {self.success_rule!r}")
         if self.success_rule == PHY_COUPLED:
@@ -141,7 +145,9 @@ class SimReport:
 
 def check_arrivals(model, m_relays: int) -> None:
     """Refuse an arrival law whose count over a session of M+1 units cannot
-    be tabulated in :data:`MAX_ARRIVALS` + 1 entries."""
+    be tabulated in :data:`MAX_ARRIVALS` + 1 entries.  The CLI checks its
+    grid's largest rate and M with it before any row runs; a
+    :class:`SimConfig` refuses such a law when it builds its own table."""
     _cdf_table(model, [m_relays + 1.0])
 
 
@@ -171,9 +177,10 @@ def _cdf_table(model, durations) -> np.ndarray:
         size = stop
 
 
-def _walk(model, durations, n_sessions: int, rng: np.random.Generator) -> np.ndarray:
+def _walk(table: np.ndarray, n_sessions: int, rng: np.random.Generator) -> np.ndarray:
     """Contender counts K of ``n_sessions`` consecutive sessions, the first
-    following a session of length 1.
+    following a session of length 1, over the CDF ``table`` that
+    :func:`_cdf_table` builds for the (Idle, Single, Long) lengths.
 
     A session's K is ``searchsorted(F_c, u, side="right")`` for one uniform
     u, in the table row F_c of the class c (Idle, Single, Long) of the
@@ -200,7 +207,6 @@ def _walk(model, durations, n_sessions: int, rng: np.random.Generator) -> np.nda
     the guide cost more than it saves.  A K below 2 is its session's
     class, and it is read the same way.
     """
-    table = _cdf_table(model, durations)
     size = math.isqrt(n_sessions)
     n_blocks = -(-n_sessions // size)
     u = rng.random((size, n_blocks))
@@ -248,12 +254,16 @@ def run(config: SimConfig) -> SimReport:
     empirical throughput, outage, and session-length estimates.
 
     Warm-up and counted sessions are one chain walked by :func:`_walk`.
-    Every estimate is one ratio of sums over the counted sessions:
-    throughput is delivered packets over session lengths, outage is outages
-    over sessions, and the mean length is lengths over sessions.  Its
-    standard error is that of the batch means of the same ratio over 100
-    batches (fewer when there are fewer sessions), each batch ratio taken
-    as sum over sum, not as a mean of per-session ratios (Asmussen & Glynn,
+    The counted sessions are then summarised in two integer tables indexed
+    by (batch, state), one counting sessions and one counting packets,
+    with a last row for the whole run; every output is read from them.
+    The 100 batches (fewer when there are fewer sessions) are those of
+    ``np.array_split``.  Every estimate is one ratio of whole-run sums:
+    throughput is delivered packets (states 0-2) over time (session counts
+    times their lengths), outage is Unsuccess sessions over sessions, and
+    the mean length is time over sessions.  Its standard error is that of
+    the batch means of the same ratio, each batch ratio taken as sum over
+    sum, not as a mean of per-session ratios (Asmussen & Glynn,
     *Stochastic Simulation*, ch. IV); with one session it is NaN.
 
     The arrival stream and the PHY randomness use separate generators
@@ -263,11 +273,8 @@ def run(config: SimConfig) -> SimReport:
     params = config.params
     m = params.m_relays
     n = config.n_sessions
-    arr_ss, phy_ss = np.random.SeedSequence(config.seed).spawn(2)
-    arr_rng = np.random.default_rng(arr_ss)
-    phy_rng = np.random.default_rng(phy_ss)
-    arrived = _walk(config.arrivals, params.durations[:3],
-                    config.warmup_sessions + n, arr_rng)[config.warmup_sessions:]
+    arr_rng, phy_rng = map(np.random.default_rng, np.random.SeedSequence(config.seed).spawn(2))
+    arrived = _walk(config._table, config.warmup_sessions + n, arr_rng)[config.warmup_sessions:]
 
     # Idle, Single, Success (2 <= K <= M+1) or Unsuccess, by K alone
     states = np.minimum(arrived, 2).astype(np.uint8)
@@ -279,37 +286,42 @@ def run(config: SimConfig) -> SimReport:
             of_k = collisions[arrived[collisions] == k]
             errors = mpr.symbol_errors(k, m, config.snr_db, len(of_k), phy_rng)
             states[of_k[errors.any(axis=1)]] = 3
-    delivered = np.where(states == 3, 0, arrived)
-    lengths = np.array(params.durations)[states]
 
     # batch means: sessions are Markov-dependent, so per-session errors
     # understate the variance; batches restore approximate independence
     n_batches = min(_BATCHES, n)
-    # batch b starts at b*q + min(b, r), the boundaries of np.array_split
+    # cell 4 * batch + state; the first r batches hold one session more, as
+    # in np.array_split
     q, r = divmod(n, n_batches)
-    starts = np.arange(n_batches) * q + np.minimum(np.arange(n_batches), r)
+    cell = np.repeat(np.arange(0, 4 * n_batches, 4), [q + 1] * r + [q] * (n_batches - r))
+    cell += states
+    sessions, packets = (np.bincount(cell, w, 4 * n_batches).reshape(n_batches, 4).astype(int)
+                         for w in (None, arrived))
+    # a last row for the whole run, summed from the integer counts
+    sessions, packets = (np.vstack([t, t.sum(axis=0)]) for t in (sessions, packets))
+    # Sigma count * T summed from the Long end: T is (eps, 1, M+1, M+1), so
+    # only the Idle term and the last addition round, within 1 ulp in all
+    time = (sessions[:, ::-1] * params.durations[::-1]).sum(axis=1)
+    delivered = packets[:, :3].sum(axis=1)
+    counted = sessions.sum(axis=1)
 
     def ratio(num, den):
-        """sum(num) / sum(den) and the standard error of its batch means.
-        Batch sums are taken in float, so a bool ``num`` is counted, not
-        or-ed as ``np.add.reduceat`` may do over bools."""
-        batches = (np.add.reduceat(num, starts, dtype=float)
-                   / np.add.reduceat(den, starts, dtype=float))
+        """The whole run's num / den, and the standard error of the batch
+        means of the same ratio."""
+        batches = num[:-1] / den[:-1]
         stderr = float(np.std(batches, ddof=1)) / math.sqrt(n_batches) if n_batches > 1 \
             else math.nan
-        return float(num.sum() / den.sum()), stderr
+        return float(num[-1] / den[-1]), stderr
 
-    sessions = np.broadcast_to(1.0, n)  # a weight of 1 per session, allocating nothing
-    throughput_hat, stderr_throughput = ratio(delivered, lengths)
-    outage_hat, stderr_outage = ratio(states == 3, sessions)
-    mean_length_hat, stderr_mean_length = ratio(lengths, sessions)
-    total_arrived, total_delivered = int(arrived.sum()), int(delivered.sum())
+    throughput_hat, stderr_throughput = ratio(delivered, time)
+    outage_hat, stderr_outage = ratio(sessions[:, 3], counted)
+    mean_length_hat, stderr_mean_length = ratio(time, counted)
     return SimReport(
-        sessions_by_state=tuple(np.bincount(states, minlength=4).tolist()),
-        packets_arrived=total_arrived,
-        packets_delivered=total_delivered,
-        packets_lost=total_arrived - total_delivered,
-        total_time=float(lengths.sum()),
+        sessions_by_state=tuple(sessions[-1].tolist()),
+        packets_arrived=int(packets[-1].sum()),
+        packets_delivered=int(delivered[-1]),
+        packets_lost=int(packets[-1, 3]),
+        total_time=float(time[-1]),
         throughput_hat=throughput_hat,
         outage_hat=outage_hat,
         mean_session_length_hat=mean_length_hat,

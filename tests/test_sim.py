@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -85,11 +86,14 @@ class TestCdfTable:
     def test_edge_cases(self):
         rng = np.random.default_rng(0)
         durations = A.SystemParams(0.8, 10).durations[:3]
-        assert not sim._walk(sim.PoissonProcess(0.0), durations, 1000, rng).any()
-        assert not sim._walk(sim.FinitePopulation(30, 0.0), durations, 1000, rng).any()
-        assert np.all(sim._walk(sim.FinitePopulation(30, 1.0), durations, 1000, rng) == 30)
+        def walk(model, n):
+            return sim._walk(sim._cdf_table(model, durations), n, rng)
+
+        assert not walk(sim.PoissonProcess(0.0), 1000).any()
+        assert not walk(sim.FinitePopulation(30, 0.0), 1000).any()
+        assert np.all(walk(sim.FinitePopulation(30, 1.0), 1000) == 30)
         # M + 1 >= n: the table stops at k = n and every draw fits in it
-        k = sim._walk(sim.FinitePopulation(5, 0.5), durations, 10_000, rng)
+        k = walk(sim.FinitePopulation(5, 0.5), 10_000)
         assert k.max() == 5 and k.min() >= 0
         assert sim._cdf_table(sim.FinitePopulation(5, 0.5), durations).shape[1] == 6
 
@@ -106,7 +110,7 @@ class TestCdfTable:
         # the K histogram after each class matches its table row's pmf
         durations = A.SystemParams(1.0, 3).durations[:3]
         table = sim._cdf_table(model, durations)
-        k = sim._walk(model, durations, 200_000, np.random.default_rng(3))
+        k = sim._walk(table, 200_000, np.random.default_rng(3))
         before = np.minimum(np.concatenate([[1], k[:-1]]), 2)
         for c in range(3):
             after = k[before == c]
@@ -151,7 +155,7 @@ class TestWalk:
     def test_matches_session_by_session_chain(self, case, n):
         model, params = WALK_CASES[case]
         durations = params.durations[:3]
-        k = sim._walk(model, durations, n, np.random.default_rng(n))
+        k = sim._walk(sim._cdf_table(model, durations), n, np.random.default_rng(n))
         assert np.array_equal(k, _walk_by_session(model, durations, n, np.random.default_rng(n)))
 
     def test_memory_is_bounded(self):
@@ -162,7 +166,8 @@ class TestWalk:
         durations = PARAMS_DEFAULT.durations[:3]
         tracemalloc.start()
         try:
-            sim._walk(sim.PoissonProcess(0.8), durations, 1_001_000, np.random.default_rng(1))
+            sim._walk(sim._cdf_table(sim.PoissonProcess(0.8), durations), 1_001_000,
+                      np.random.default_rng(1))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -253,9 +258,10 @@ class TestRun:
         lumped = A.transition_matrix(A.SystemParams(1.0, 1, 0.1))[:3]
         for model in LAWS:
             rng = np.random.default_rng(5)
+            table = sim._cdf_table(model, durations)
             counts = np.zeros((3, 6))
             for _ in range(2000):
-                k = sim._walk(model, durations, 100, rng)
+                k = sim._walk(table, 100, rng)
                 np.add.at(counts, (np.minimum(k[:-1], 2), np.minimum(k[1:], 5)), 1)
             p = np.array([_law_pmf(model, t, np.arange(6)) for t in durations])
             p[:, 5] = 1 - p[:, :5].sum(axis=1)
@@ -272,7 +278,7 @@ class TestRun:
         cfg = sim.SimConfig(PARAMS_DEFAULT, sim.PoissonProcess(0.8), n, seed=4)
         rep = sim.run(cfg)
         arr_ss, _ = np.random.SeedSequence(4).spawn(2)
-        k = sim._walk(cfg.arrivals, PARAMS_DEFAULT.durations[:3],
+        k = sim._walk(sim._cdf_table(cfg.arrivals, PARAMS_DEFAULT.durations[:3]),
                       cfg.warmup_sessions + n, np.random.default_rng(arr_ss))
         k = k[cfg.warmup_sessions:]
         states = np.minimum(k, 2)
@@ -288,6 +294,49 @@ class TestRun:
                   for v in (d / t, u / m, t / m)]
         got = [rep.stderr_throughput, rep.stderr_outage, rep.stderr_mean_length]
         assert got == pytest.approx(oracle, rel=1e-12, nan_ok=True)
+
+    @pytest.mark.parametrize("model", LAWS, ids=["poisson", "finite"])
+    def test_one_table_per_point(self, model, monkeypatch):
+        # the law is tabulated when the config is built, and the walk reads
+        # that table: a second tabulation per point is waste
+        calls, cdf_table = [], sim._cdf_table
+        monkeypatch.setattr(sim, "_cdf_table", lambda *a: calls.append(a) or cdf_table(*a))
+        params = A.SystemParams(1.0, 3, 0.1)
+        sim.run(sim.SimConfig(params, model, 1000, seed=1))
+        assert len(calls) == 1
+
+    # (lambda, M, epsilon, sessions, seed); a per-session float sum of the
+    # lengths is 2.02 ulp off the exact total in the first case, 1.88 in
+    # the second and 1.63 in the third
+    @pytest.mark.parametrize("lam, m, eps, n, seed", [
+        (0.3, 4, 0.07, 1000, 0), (0.3, 4, 0.07, 200_000, 0), (1.2, 1, 0.1, 1000, 1),
+        (0.8, 10, 0.1, 37_000, 1), (0.0, 10, 0.3, 5000, 2), (1.5, 30, 0.9, 1, 3),
+    ])
+    def test_total_time_is_exact(self, lam, m, eps, n, seed):
+        params = A.SystemParams(lam, m, eps)
+        rep = sim.run(sim.SimConfig(params, sim.PoissonProcess(lam), n, seed=seed))
+        exact = sum(Fraction(c) * Fraction(t)
+                    for c, t in zip(rep.sessions_by_state, params.durations))
+        assert abs(Fraction(rep.total_time) - exact) <= Fraction(math.ulp(float(exact)))
+
+    def test_phy_losses_are_the_unsuccessful_sessions_packets(self, monkeypatch):
+        # a decoder that fails every collision of even K: the lost packets
+        # are those of K > M+1 and of even K, read off the walk's own K
+        def symbol_errors(k, m, snr_db, trials, rng):
+            return np.full((trials, k), k % 2 == 0)
+
+        monkeypatch.setattr(sim.mpr, "symbol_errors", symbol_errors)
+        params = A.SystemParams(1.0, 6, 0.1)
+        cfg = sim.SimConfig(params, sim.PoissonProcess(1.0), 5000, seed=8,
+                            success_rule=sim.PHY_COUPLED, snr_db=10.0)
+        rep = sim.run(cfg)
+        arr_ss, _ = np.random.SeedSequence(8).spawn(2)
+        k = sim._walk(sim._cdf_table(cfg.arrivals, params.durations[:3]),
+                      cfg.warmup_sessions + 5000, np.random.default_rng(arr_ss))
+        k = k[cfg.warmup_sessions:]
+        lost = (k > params.m_relays + 1) | ((k >= 2) & (k % 2 == 0))
+        assert rep.sessions_by_state[3] == np.count_nonzero(lost) > 0
+        assert (rep.packets_lost, rep.packets_delivered) == (k[lost].sum(), k[~lost].sum())
 
     def test_phy_rule_matches_threshold_at_high_snr(self):
         common = dict(params=PARAMS_DEFAULT, arrivals=sim.PoissonProcess(0.8),
