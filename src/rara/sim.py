@@ -98,6 +98,14 @@ def _check_devices(n_devices) -> None:
 
 @dataclass(frozen=True)
 class SimConfig:
+    """One simulated point.  Building it checks every field and tabulates
+    the arrival law once: the three-row CDF table that :func:`run` walks is
+    kept, read-only, for as long as the config lives.  It holds 24 bytes
+    per column, about 1 kB at lambda = 0.8, M = 10 and 2.5 MB at
+    lambda = 100, M = 1000, and up to about 50 MB for a law at the
+    :data:`MAX_ARRIVALS` edge, so a caller that keeps many configs of such
+    laws holds one table each."""
+
     params: SystemParams
     arrivals: PoissonProcess | FinitePopulation
     n_sessions: int
@@ -117,6 +125,7 @@ class SimConfig:
             raise ValueError(f"arrival rate {self.arrivals.lam} differs from "
                              f"params.lam {self.params.lam}")
         object.__setattr__(self, "_table", _cdf_table(self.arrivals, self.params.durations[:3]))
+        self._table.flags.writeable = False  # frozen, as the config is
         if self.success_rule not in (THRESHOLD, PHY_COUPLED):
             raise ValueError(f"unknown success rule {self.success_rule!r}")
         if self.success_rule == PHY_COUPLED:

@@ -301,9 +301,11 @@ class TestRun:
         # that table: a second tabulation per point is waste
         calls, cdf_table = [], sim._cdf_table
         monkeypatch.setattr(sim, "_cdf_table", lambda *a: calls.append(a) or cdf_table(*a))
-        params = A.SystemParams(1.0, 3, 0.1)
-        sim.run(sim.SimConfig(params, model, 1000, seed=1))
+        config = sim.SimConfig(A.SystemParams(1.0, 3, 0.1), model, 1000, seed=1)
+        sim.run(config)
         assert len(calls) == 1
+        with pytest.raises(ValueError):  # the kept table is as frozen as its config
+            config._table[0, 0] = 0.5
 
     # (lambda, M, epsilon, sessions, seed); a per-session float sum of the
     # lengths is 2.02 ulp off the exact total in the first case, 1.88 in

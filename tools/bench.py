@@ -3,14 +3,16 @@ quartiles to one JSON file, optionally beside a parent checkout.
 
     python3 tools/bench.py --out BENCH_21.json --parent ../parent-checkout
 
-Each side runs its own ``perfbench/run.py`` (the command and the run length
-are read from this checkout's ``BENCHMARK.json``) with ``--trace 0``, from
-the root of its checkout.  With a parent, each seed is one pair of runs,
+Each side runs its own ``perfbench/run.py`` (the command, the workloads and
+the run length are read from this checkout's ``BENCHMARK.json``) with
+``--trace 0``, from the root of its checkout, once per workload and seed of
+``SEEDS``.  With a parent, each seed is one pair of runs,
 and the side that runs first alternates from pair to pair.  For every
 workload and side the file holds the median and quartiles of each
 end-to-end metric, the number of runs and of samples behind them, each
 run's provenance line, and how many runs reported ``correct`` false or did
-not finish.  Standard library only.
+not finish; with a parent, also how much worse the change's median is than
+the parent's.  Standard library only.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-# seeds no change was tuned on; a later run quotes them, or states its own
+# seeds no change was tuned on; a change tuned on them replaces them and says so
 SEEDS = tuple(range(2101, 2111))
 
 
@@ -47,35 +49,45 @@ def _run(root: Path, command: list[str], workload: str, seed: int, seconds: int)
 
 
 def _summary(runs: list[dict], end_to_end: list[dict]) -> dict:
-    """Median and quartiles of each end-to-end metric over the finished runs."""
+    """Median and quartiles of each end-to-end metric over the finished
+    runs.  The per-run lists hold one entry per seed, in seed order and
+    null for a run that did not finish, so two sides' lists pair by index."""
     done = [r for r in runs if r["finished"]]
     metrics = {}
     for spec in end_to_end if done else ():
-        # in seed order, as the provenance lines are, so two sides pair by index
-        values = [r["metrics"][spec["name"]] for r in done]
+        name = spec["name"]
+        values = [r["metrics"][name] for r in done]
         q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive")
                           if len(values) > 1 else values * 3)
-        metrics[spec["name"]] = {
+        metrics[name] = {
             "unit": spec["unit"], "better": spec["better"], "runs": len(values),
-            "samples": sum(r["provenance"]["samples"][spec["name"]] for r in done),
-            "median": median, "q1": q1, "q3": q3, "values": values}
+            "samples": sum(r["provenance"]["samples"][name] for r in done),
+            "median": median, "q1": q1, "q3": q3,
+            "values": [r["metrics"][name] if r["finished"] else None for r in runs]}
     return {"runs": len(runs), "not_finished": len(runs) - len(done),
             "correct_false": sum(not r["correct"] for r in done),
-            "metrics": metrics, "provenance": [r["provenance"] for r in done],
+            "metrics": metrics, "provenance": [r.get("provenance") for r in runs],
             "failures": [r for r in runs if not r["finished"]]}
 
 
 def _versus(change: dict, parent: dict, end_to_end: list[dict]) -> dict:
     """How much worse the change's median is than the parent's, as a share
-    of the parent's, beside the bound ``BENCHMARK.json`` allows."""
+    of the parent's, beside the bound ``BENCHMARK.json`` allows.  A metric
+    is within its bound only if, besides, every run on both sides finished
+    and reported ``correct`` true."""
+    clean = all(side["not_finished"] == side["correct_false"] == 0 for side in (change, parent))
     out = {}
-    for spec in end_to_end if change and parent else ():
-        new, old = change[spec["name"]]["median"], parent[spec["name"]]["median"]
-        worse = (new - old) if spec["better"] == "lower" else (old - new)
-        share = worse / abs(old) if old else (0.0 if worse == 0 else float("inf"))
+    for spec in end_to_end:
+        if not (change["metrics"] and parent["metrics"]):  # a side with no finished run
+            out[spec["name"]] = {"worse_by": None, "bound": spec["bound"], "within_bound": False}
+            continue
+        new, old = (side["metrics"][spec["name"]] for side in (change, parent))
+        worse = (new["median"] - old["median"]) * (1 if spec["better"] == "lower" else -1)
+        share = worse / abs(old["median"]) if old["median"] else \
+            (0.0 if worse == 0 else float("inf"))
         out[spec["name"]] = {"worse_by": share, "bound": spec["bound"],
-                             "within_bound": share <= spec["bound"],
-                             "parent_iqr": parent[spec["name"]]["q3"] - parent[spec["name"]]["q1"]}
+                             "within_bound": clean and share <= spec["bound"],
+                             "parent_iqr": old["q3"] - old["q1"]}
     return out
 
 
@@ -83,11 +95,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", required=True, type=Path, help="JSON file to write")
     parser.add_argument("--parent", type=Path, help="root of the parent checkout")
-    parser.add_argument("--seeds", type=int, nargs="+", default=list(SEEDS))
-    parser.add_argument("--workloads", nargs="+", help="default: every workload")
     args = parser.parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    workloads = args.workloads or [w["name"] for w in bench["workloads"]]
     sides = {"change": ROOT}
     if args.parent is not None:
         if not (args.parent / "perfbench" / "run.py").is_file():
@@ -95,11 +104,11 @@ def main(argv=None) -> int:
         sides["parent"] = args.parent.resolve()
 
     report = {"command": bench["command"], "run_seconds": bench["run_seconds"],
-              "trace": 0, "seeds": args.seeds, "quartiles": "statistics.quantiles, inclusive",
+              "trace": 0, "seeds": list(SEEDS), "quartiles": "statistics.quantiles, inclusive",
               "workloads": {}}
-    for workload in workloads:
+    for workload in (w["name"] for w in bench["workloads"]):
         runs, first = {side: [] for side in sides}, []
-        for i, seed in enumerate(args.seeds):
+        for i, seed in enumerate(SEEDS):
             order = list(sides) if i % 2 == 0 else list(sides)[::-1]
             first.append(order[0])
             for side in order:
@@ -110,8 +119,8 @@ def main(argv=None) -> int:
         entry = {side: _summary(r, bench["end_to_end"]) for side, r in runs.items()}
         entry["first_side"] = first
         if "parent" in sides:
-            entry["change_vs_parent"] = _versus(entry["change"]["metrics"],
-                                                entry["parent"]["metrics"], bench["end_to_end"])
+            entry["change_vs_parent"] = _versus(entry["change"], entry["parent"],
+                                                bench["end_to_end"])
         report["workloads"][workload] = entry
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
