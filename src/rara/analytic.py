@@ -56,14 +56,10 @@ class SystemParams:
     epsilon: float = DEFAULT_EPSILON
 
     def __post_init__(self):
-        # the scalar form of check_grid, kept free of numpy for speed
         check_count("relay count", self.m_relays, 1, maximum=sys.float_info.max)
-        if not (0 < self.epsilon <= 1):
-            raise ValueError(f"idle-session fraction must be in (0, 1], got {self.epsilon}")
-        # M + 1 is an int: an int lambda past the float range compares, never overflows
-        if not (self.lam >= 0 and self.lam * (self.m_relays + 1) <= sys.float_info.max):
-            raise ValueError("traffic intensity must be >= 0 with lambda*(M+1) finite, "
-                             f"got {self.lam}")
+        for rule, value, ok in _domain(self.lam, self.m_relays, self.epsilon):
+            if not ok:
+                raise ValueError(f"{rule}, got {value}")
         # -0.0 passes lam >= 0; + 0 stores it as the 0.0 every kernel expects
         object.__setattr__(self, "lam", self.lam + 0)
 
@@ -115,10 +111,22 @@ class ChainSolution:
     mean_success_count: np.ndarray
 
 
+def _domain(lam, m, eps):
+    """The model's domain, stated once for a point and a grid: a
+    (rule, values, ok) triple per input, in the order they are checked.
+    The operators work on Python numbers and on arrays alike; M + 1 keeps
+    an int lambda past the float range exact, and a NaN or infinite
+    lambda*(M+1) fails the bound."""
+    return (("relay counts must be integers >= 1", m, (m >= 1) & (m % 1 == 0)),
+            ("idle-session fractions must be in (0, 1]", eps, (eps > 0) & (eps <= 1)),
+            ("traffic intensities must be >= 0 with lambda*(M+1) finite", lam,
+             (lam >= 0) & (lam * (m + 1) <= sys.float_info.max)))
+
+
 def check_grid(lam, m_relays=1, epsilon=DEFAULT_EPSILON):
     """Broadcast a (lambda, M, epsilon) grid to float arrays, raising a
-    ValueError that names its first value outside the model.  The array form
-    of the rule :class:`SystemParams` applies to one point."""
+    ValueError that names its first value outside the model, by the rule of
+    :func:`_domain` that :class:`SystemParams` applies to one point."""
     grid = []
     for name, values in (("traffic intensities", lam), ("relay counts", m_relays),
                          ("idle-session fractions", epsilon)):
@@ -129,13 +137,9 @@ def check_grid(lam, m_relays=1, epsilon=DEFAULT_EPSILON):
     # -0.0 passes lam >= 0; + 0.0 returns it as the 0.0 every kernel expects
     lam, m, eps = np.broadcast_arrays(grid[0] + 0.0, *grid[1:])
     with np.errstate(over="ignore", invalid="ignore"):  # inf % 1, lambda*(M+1) overflow
-        rules = (("relay counts must be integers >= 1", m, (m >= 1) & (m % 1 == 0)),
-                 ("idle-session fractions must be in (0, 1]", eps, (eps > 0) & (eps <= 1)),
-                 ("traffic intensities must be >= 0 with lambda*(M+1) finite", lam,
-                  (lam >= 0) & np.isfinite(lam * (m + 1.0))))
-    for rule, values, ok in rules:
-        if not ok.all():
-            raise ValueError(f"{rule}, got {values[~ok].flat[0]}")
+        for rule, values, ok in _domain(lam, m, eps):
+            if not ok.all():
+                raise ValueError(f"{rule}, got {values[~ok].flat[0]}")
     return lam, m, eps
 
 

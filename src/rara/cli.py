@@ -6,8 +6,9 @@ Subcommands ``theory | sim | compare | phy`` take the flags of the fields
 same field names, and flags win.  Grids are comma lists (``0.4,0.8``) or
 inclusive ranges (``start:stop:step``).  Every value is converted one way and
 checked by the one rule :data:`FIELDS` names for it, the library's for every
-value the library reads; the largest (lambda, M) of a grid is checked by
-``analytic.check_grid`` and, when simulated, by ``sim.check_arrivals``.
+value the library reads; a grid's largest (lambda, M) point is checked by
+building it as its row is built (:func:`_point`), so the check cannot drift
+from the rows.
 Beyond the format's rule (csv or json), this module states no check of its
 own but one size cap, :data:`MAX_RANGE_VALUES`, on the values of a range and
 on the rows of a table, both counted before anything is built.
@@ -177,16 +178,25 @@ def validate_spec(raw: dict) -> ExperimentSpec:
                     else (len(lams) * len(ms), "lambda_grid x m_grid"))
         if rows > MAX_RANGE_VALUES:
             problems.append(f"table: {of} gives {rows} rows, more than {MAX_RANGE_VALUES}")
-    if lams and ms:  # the largest lambda*(M+1), then what the walk tabulates
+    if lams and ms:  # the largest point, built as its row is; a failed field reads its default
+        simulated = (spec["n_sessions"], spec["seed"]) if "n_sessions" in keys else ()
         try:
-            analytic.check_grid(max(lams), max(ms))
-            if "n_sessions" in keys:
-                sim.check_arrivals(sim.PoissonProcess(max(lams)), max(ms))
+            _point(max(lams), max(ms), spec["epsilon"], *simulated)
         except ValueError as exc:
             problems.append(f"lambda_grid: {exc}")
     if problems:
         raise SpecValidationError(problems)
     return ExperimentSpec(mode=mode, **spec)
+
+
+def _point(lam, m, epsilon, n_sessions=None, seed=None):
+    """The ``SystemParams`` of one (lambda, M) row or, given a session count
+    and a seed, its ``SimConfig``: every row and the spec's check of the
+    largest point are built here."""
+    params = analytic.SystemParams(lam, m, epsilon)
+    if n_sessions is None:
+        return params
+    return sim.SimConfig(params, sim.PoissonProcess(lam), n_sessions, seed)
 
 
 def _theory_columns(lams: np.ndarray, ms: np.ndarray, epsilon: float) -> dict:
@@ -203,13 +213,12 @@ def _theory_columns(lams: np.ndarray, ms: np.ndarray, epsilon: float) -> dict:
             "u_discontinuity": (lams == 1.0).astype(int)}
 
 
-def _table(columns: dict) -> tuple[list[str], list[dict]]:
+def _table(columns: dict) -> tuple[list[str], list[tuple]]:
     """The names and rows of a table given as name -> column, in order.
-    A column is a sequence or a numpy array, of one cell per row; every
-    cell comes out a Python scalar."""
-    names = list(columns)
+    A column is a sequence or a numpy array, of one cell per row; a row is
+    a tuple of its cells in name order, each a Python scalar."""
     cells = (c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values())
-    return names, [dict(zip(names, row)) for row in zip(*cells, strict=True)]
+    return list(columns), list(zip(*cells, strict=True))
 
 
 def _cpus() -> int:
@@ -241,7 +250,7 @@ def _map_rows(fn, grid: list, seeds: list[int], cost) -> list:
                 future.cancel()
 
 
-def build_rows(spec: ExperimentSpec) -> tuple[list[str], list[dict]]:
+def build_rows(spec: ExperimentSpec) -> tuple[list[str], list[tuple]]:
     """Evaluate the experiment grid; rows follow grid order (lambda outer).
     Every cell is a Python scalar.
 
@@ -266,8 +275,7 @@ def build_rows(spec: ExperimentSpec) -> tuple[list[str], list[dict]]:
         columns = _theory_columns(*(np.array(v) for v in zip(*grid)), spec.epsilon)
 
         def evaluate(cell, seed):
-            return sim.run(sim.SimConfig(analytic.SystemParams(*cell, spec.epsilon),
-                                         sim.PoissonProcess(cell[0]), spec.n_sessions, seed))
+            return sim.run(_point(*cell, spec.epsilon, spec.n_sessions, seed))
 
         def cost(cell):  # every row walks the same number of sessions
             return spec.n_sessions
@@ -288,20 +296,21 @@ def build_rows(spec: ExperimentSpec) -> tuple[list[str], list[dict]]:
     return _table(columns)
 
 
-def render(columns: list[str], rows: list[dict], fmt: str) -> str:
-    """CSV or JSON text of ``rows``, whose keys run in ``columns`` order.
+def render(columns: list[str], rows: list[tuple], fmt: str) -> str:
+    """CSV or JSON text of ``rows``, tuples of cells in ``columns`` order.
 
     Every cell is a Python int or float, so no CSV cell needs quoting: a
     float is written with ``repr``, which round-trips doubles exactly, and an
     int with its digits (its ``repr`` too), the text ``csv.writer`` gives
-    them.  The cells are formatted one column at a time.  JSON writes a
-    non-finite float as ``null``, since RFC 8259 has no NaN or Infinity.
+    them.  The cells are formatted one column at a time.  JSON writes each
+    row as one object keyed by ``columns``, and a non-finite float as
+    ``null``, since RFC 8259 has no NaN or Infinity.
     """
     if fmt == "json":
         rows = [{key: None if isinstance(value, float) and not math.isfinite(value) else value
-                 for key, value in row.items()} for row in rows]
+                 for key, value in zip(columns, row)} for row in rows]
         return json.dumps({"columns": columns, "rows": rows}, indent=2) + "\n"
-    cells = [map(repr, column) for column in zip(*(row.values() for row in rows))]
+    cells = [map(repr, column) for column in zip(*rows)]
     return "\n".join([",".join(columns), *map(",".join, zip(*cells)), ""])
 
 

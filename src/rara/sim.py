@@ -104,7 +104,10 @@ class SimConfig:
     per column, about 1 kB at lambda = 0.8, M = 10 and 2.5 MB at
     lambda = 100, M = 1000, and up to about 50 MB for a law at the
     :data:`MAX_ARRIVALS` edge, so a caller that keeps many configs of such
-    laws holds one table each."""
+    laws holds one table each.  Building the table is the one check of
+    what the walk can tabulate.  Every run first walks and drops
+    :data:`DEFAULT_WARMUP` sessions; ``warmup_sessions`` reads that number
+    and is not an init argument."""
 
     params: SystemParams
     arrivals: PoissonProcess | FinitePopulation
@@ -112,13 +115,12 @@ class SimConfig:
     seed: int = 0
     success_rule: str = THRESHOLD
     snr_db: float | None = None
-    warmup_sessions: int = DEFAULT_WARMUP
+    warmup_sessions: int = field(default=DEFAULT_WARMUP, init=False)
     # the CDF table of the arrival law that run walks, built once, here
     _table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_count("session count", self.n_sessions, 1)
-        check_count("warmup_sessions", self.warmup_sessions, 0)
         check_count("seed", self.seed, 0)
         # a walk reads only M and epsilon from params, so the rates must agree
         if isinstance(self.arrivals, PoissonProcess) and self.arrivals.lam != self.params.lam:
@@ -150,14 +152,6 @@ class SimReport:
     stderr_outage: float
     stderr_mean_length: float
     seed: int
-
-
-def check_arrivals(model, m_relays: int) -> None:
-    """Refuse an arrival law whose count over a session of M+1 units cannot
-    be tabulated in :data:`MAX_ARRIVALS` + 1 entries.  The CLI checks its
-    grid's largest rate and M with it before any row runs; a
-    :class:`SimConfig` refuses such a law when it builds its own table."""
-    _cdf_table(model, [m_relays + 1.0])
 
 
 def _cdf_table(model, durations) -> np.ndarray:
@@ -318,8 +312,9 @@ def run(config: SimConfig) -> SimReport:
         """The whole run's num / den, and the standard error of the batch
         means of the same ratio."""
         batches = num[:-1] / den[:-1]
-        stderr = float(np.std(batches, ddof=1)) / math.sqrt(n_batches) if n_batches > 1 \
-            else math.nan
+        # equal batch ratios have no spread, though np.std of them can round above 0
+        stderr = math.nan if n_batches == 1 else 0.0 if np.ptp(batches) == 0 \
+            else float(np.std(batches, ddof=1)) / math.sqrt(n_batches)
         return float(num[-1] / den[-1]), stderr
 
     throughput_hat, stderr_throughput = ratio(delivered, time)

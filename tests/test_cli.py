@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from rara import cli, mpr, sim
+from rara import analytic, cli, mpr, sim
 
 # A working argument list per mode, each flag one the mode reads.
 MODE_ARGS = {
@@ -116,6 +116,21 @@ class TestValidateSpec:
             cli.validate_spec({"mode": "phy", "m_grid": "2",
                                "output_path": "out.csv"})
         assert any("snr_db" in p for p in exc.value.problems)
+
+    @pytest.mark.parametrize("lam, m, message", [
+        ("0.8,1e6", "1,10", "can exceed 2097152"),  # an untabulable arrival law
+        ("0.8,1e308", "2,10", r"lambda\*\(M\+1\) finite"),  # lambda*(M+1) overflows
+    ])
+    def test_largest_point_refused_as_its_row(self, lam, m, message):
+        # the grid's largest point is refused with the message that building
+        # its row raises, though each grid alone is valid
+        lams, ms = cli.parse_grid(lam), cli.parse_grid(m, int)
+        with pytest.raises(ValueError, match=message) as built:
+            sim.SimConfig(analytic.SystemParams(max(lams), max(ms)),
+                          sim.PoissonProcess(max(lams)), 10**6)
+        with pytest.raises(cli.SpecValidationError) as exc:
+            cli.validate_spec(self.base(mode="compare", lambda_grid=lam, m_grid=m))
+        assert exc.value.problems == [f"lambda_grid: {built.value}"]
 
     def test_all_failures_reported_at_once(self):
         with pytest.raises(cli.SpecValidationError) as exc:
@@ -337,7 +352,7 @@ def csv_oracle(columns, rows):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
-    writer.writerows(row.values() for row in rows)
+    writer.writerows(rows)
     return buf.getvalue()
 
 
@@ -346,7 +361,7 @@ class TestCsvText:
         columns = ["a", "b", "c"]
         values = [-0.0, 0.0, 5e-324, 1e-5, 1e16, 0.1 + 0.2, math.inf, -math.inf,
                   math.nan, 2**63, 0, 1, -7, 1.0, -2.5e-300]
-        rows = [dict(zip(columns, values[i:i + 3])) for i in range(0, len(values), 3)]
+        rows = [tuple(values[i:i + 3]) for i in range(0, len(values), 3)]
         assert cli.render(columns, rows, "csv") == csv_oracle(columns, rows)
         assert cli.render(columns, [], "csv") == csv_oracle(columns, [])
 
@@ -360,7 +375,7 @@ class TestCsvText:
         raw = vars(parser.parse_args([*argv, "--out", "unused.csv"]))
         columns, rows = cli.build_rows(cli.validate_spec(raw))
         # every cell a Python int or float, the case render's text rule covers
-        assert {type(value) for row in rows for value in row.values()} <= {int, float}
+        assert {type(value) for row in rows for value in row} <= {int, float}
         assert cli.render(columns, rows, "csv") == csv_oracle(columns, rows)
 
 

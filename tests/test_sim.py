@@ -37,7 +37,6 @@ class TestArrivalModels:
         for n in (0, 10**400):
             with pytest.raises(ValueError, match="device count"):
                 sim.FinitePopulation.from_traffic(0.8, n)
-        sim.check_arrivals(sim.FinitePopulation(10**30, 1e-30), 10)
         durations = A.SystemParams(1.0, 10).durations[:3]
         table = sim._cdf_table(sim.FinitePopulation(10**30, 1e-30), durations)
         k = np.arange(table.shape[1])
@@ -226,11 +225,10 @@ class TestRun:
             sim.SimConfig(PARAMS_DEFAULT, sim.PoissonProcess(0.8), 100, success_rule="zf")
 
     def test_rejects_fractional_counts(self):
-        # both would otherwise fail later, inside math.isqrt
-        for n, warmup in ((2.5, 10), (100, 10.5), (math.nan, 10)):
+        # a fractional or NaN count would otherwise fail later, inside math.isqrt
+        for n in (2.5, math.nan):
             with pytest.raises(ValueError):
-                sim.SimConfig(PARAMS_DEFAULT, sim.PoissonProcess(0.8), n,
-                              warmup_sessions=warmup)
+                sim.SimConfig(PARAMS_DEFAULT, sim.PoissonProcess(0.8), n)
         # numpy's SeedSequence would refuse these only inside run
         for seed in (1.5, -1):
             with pytest.raises(ValueError, match="seed"):
@@ -294,6 +292,13 @@ class TestRun:
                   for v in (d / t, u / m, t / m)]
         got = [rep.stderr_throughput, rep.stderr_outage, rep.stderr_mean_length]
         assert got == pytest.approx(oracle, rel=1e-12, nan_ok=True)
+
+    @pytest.mark.parametrize("n, eps", [(37, 0.3), (5000, 0.1)])
+    def test_equal_batch_ratios_have_zero_stderr(self, n, eps):
+        # with no traffic every session is Idle, so every batch ratio is the
+        # same float, though np.std of them rounds to about 1e-17
+        rep = sim.run(sim.SimConfig(A.SystemParams(0.0, 10, eps), sim.PoissonProcess(0.0), n))
+        assert (rep.stderr_throughput, rep.stderr_outage, rep.stderr_mean_length) == (0, 0, 0)
 
     @pytest.mark.parametrize("model", LAWS, ids=["poisson", "finite"])
     def test_one_table_per_point(self, model, monkeypatch):
@@ -366,8 +371,7 @@ class TestRun:
         # snr_db None is the threshold rule; low SNRs make PHY decodes fail
         rule = sim.THRESHOLD if snr_db is None else sim.PHY_COUPLED
         cfg = sim.SimConfig(A.SystemParams(lam, m, eps), sim.PoissonProcess(lam),
-                            n, seed=seed, success_rule=rule, snr_db=snr_db,
-                            warmup_sessions=10)
+                            n, seed=seed, success_rule=rule, snr_db=snr_db)
         rep = sim.run(cfg)
         n0, n1, ns, nu = rep.sessions_by_state
         assert n0 + n1 + ns + nu == n
