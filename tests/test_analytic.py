@@ -159,6 +159,16 @@ class TestStationary:
         assert np.max(np.abs(sd.pi @ p - sd.pi)) < 1e-10
         assert sd.pi.sum() == pytest.approx(1.0, abs=1e-12)
 
+    def test_row_sums_are_numpys_below_eight_terms(self):
+        # the power iteration normalizes by _row_sums; below 8 terms its
+        # left-to-right order is the one numpy's sum takes
+        rng = np.random.default_rng(3)
+        for n in range(1, 8):
+            a = rng.random((50, n, n)) * 10.0 ** rng.integers(-300, 300, (50, n, n))
+            want = a.sum(axis=-1, keepdims=True)
+            got = A._row_sums(a)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), n
+
     def test_power_iteration_identity(self):
         sd = A.stationary_power_iteration(np.eye(4))
         assert np.allclose(sd.pi, 0.25)

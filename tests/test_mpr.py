@@ -191,6 +191,25 @@ class TestOneFillPerDrawSite:
         assert bits(r) == bits(want)
         assert rng.random() == ref_rng.random()
 
+    @pytest.mark.parametrize("shapes", [((3,), (4, 3), (4,)), ((6, 3), (6, 4, 3), (6, 4))])
+    def test_cn_is_one_fill_sliced_per_array(self, shapes):
+        # one standard_normal fill of 2 * sum(sizes), cut per array in the
+        # order given into its real parts then its imaginary parts, each
+        # times 1/sqrt(2); the oracle does not use _cn
+        rng, ref_rng = np.random.default_rng(14), np.random.default_rng(14)
+        arrays = mpr._cn(rng, *shapes)
+        sizes = [math.prod(shape) for shape in shapes]
+        fill = ref_rng.standard_normal(2 * sum(sizes))
+        start = 0
+        for shape, size, got in zip(shapes, sizes, arrays):
+            want = np.empty(shape, dtype=complex)
+            want.real = (fill[start:start + size] * (1.0 / math.sqrt(2.0))).reshape(shape)
+            want.imag = (fill[start + size:start + 2 * size] * (1.0 / math.sqrt(2.0))).reshape(shape)
+            assert bits(got) == bits(want), shape
+            start += 2 * size
+        assert len(arrays) == len(shapes)
+        assert rng.random() == ref_rng.random()
+
     @pytest.mark.parametrize("batch", [(), (7,)])
     def test_composite_matrix_is_the_concatenation(self, batch):
         ch = mpr._draw_channels(np.random.default_rng(13), 3, 4, batch)
@@ -199,7 +218,54 @@ class TestOneFillPerDrawSite:
         assert bits(mpr.composite_matrix(ch)) == bits(want)
 
 
+def sign_formula(estimates: np.ndarray) -> np.ndarray:
+    """Each part's sign as +-1 (NaN as -1), over sqrt(2)."""
+    re = np.where(estimates.real >= 0, 1.0, -1.0)
+    im = np.where(estimates.imag >= 0, 1.0, -1.0)
+    return (re + 1j * im) / math.sqrt(2.0)
+
+
+class TestNearestQpsk:
+    # every decision is an entry of QPSK, bit for bit
+    @pytest.mark.parametrize("value, index", [
+        (complex(math.nan, 1.0), 2), (complex(1.0, math.nan), 1),
+        (complex(math.nan, math.nan), 3), (complex(math.nan, -1.0), 3),
+        (complex(0.0, 0.0), 0), (complex(-0.0, -0.0), 0),
+        (complex(-0.0, -1.0), 1), (complex(-1.0, -0.0), 2),
+        (complex(math.inf, math.inf), 0), (complex(math.inf, -math.inf), 1),
+        (complex(-math.inf, math.inf), 2), (complex(-math.inf, -math.inf), 3),
+    ])
+    def test_edge_values(self, value, index):
+        # a NaN part reads as negative, either zero as positive, inf by its
+        # sign; a lone Python complex is read as numpy reads it
+        estimates = np.array([value])
+        assert bits(mpr.nearest_qpsk(estimates)) == bits(mpr.QPSK[[index]])
+        assert bits(sign_formula(estimates)) == bits(mpr.QPSK[[index]])
+        assert bits(mpr.nearest_qpsk(value)) == bits(mpr.QPSK[index])
+
+    def test_batch_with_edge_values_matches_sign_formula(self):
+        rng = np.random.default_rng(15)
+        estimates = rng.standard_normal((40, 6)) + 1j * rng.standard_normal((40, 6))
+        edges = np.array([math.nan, 0.0, -0.0, math.inf, -math.inf])
+        for part in (estimates.real, estimates.imag):
+            chosen = rng.random(part.shape) < 0.4
+            part[chosen] = rng.choice(edges, np.count_nonzero(chosen))
+        decided = mpr.nearest_qpsk(estimates)
+        assert bits(decided) == bits(sign_formula(estimates))
+        assert np.isin(decided, mpr.QPSK).all()
+
+
 class TestDecorrelate:
+    @pytest.mark.parametrize("h_shape, r_shape", [((2, 3, 2), (2, 3)), ((1, 3, 2), (1, 3)),
+                                                  ((3, 2), (4, 3))])
+    def test_batch_refused(self, h_shape, r_shape):
+        # a batch is detect's; decorrelate takes one collision
+        rng = np.random.default_rng(16)
+        h = rng.standard_normal(h_shape) + 1j * rng.standard_normal(h_shape)
+        r = rng.standard_normal(r_shape) + 1j * rng.standard_normal(r_shape)
+        with pytest.raises(ValueError, match=r"takes one collision.*use detect"):
+            mpr.decorrelate(h, r)
+
     def test_identity_channel(self):
         s = mpr.QPSK[np.array([0, 2])]
         res = mpr.decorrelate(np.eye(2, dtype=complex), s)
