@@ -12,9 +12,13 @@ throughput, outage, both means), and :func:`gaussian_approx` evaluates the
 large-M Gaussian approximation of throughput and outage.  Every exact
 metric is a reward row r_c over the lumped classes c = (Idle, Single, Long)
 reduced by one rule, sum_c v_c r_c (:func:`_expect`).  The single-point
-functions (``throughput_exact``, ``outage_exact``, ``throughput_approx``,
-...) run the same kernel on numpy float64 scalars: every operation is
-elementwise, so a grid point and a direct call give the same bits.
+functions (``throughput_exact``, ``outage_exact``, ``transition_matrix``,
+...) run the same kernel: the Poisson tails are taken on the (3,) array of
+class means, and the algebra after them on Python floats, whose + - * /
+are the IEEE operations of numpy float64 at a third of the cost.  Every
+operation is elementwise, so a grid point and a direct call give the same
+bits.  The Gaussian approximation keeps numpy float64 scalars at a point,
+so lambda = 0 divides to inf under ``errstate`` as it does on a grid.
 :func:`stationary_power_iteration` is the independent cross-check of the
 closed form.
 """
@@ -144,9 +148,10 @@ def check_grid(lam, m_relays=1, epsilon=DEFAULT_EPSILON):
 
 
 def _point(params: SystemParams):
-    # numpy scalars, not Python floats: they follow errstate, so lambda = 0
-    # divides to inf in _gaussian as it does on a grid
-    return np.float64(params.lam), np.float64(params.m_relays), np.float64(params.epsilon)
+    # Python floats, not numpy scalars: their + - * / are the same IEEE
+    # operations at a third of the cost, and _outcomes still takes every
+    # tail on an array
+    return float(params.lam), float(params.m_relays), float(params.epsilon)
 
 
 def _lengths(m, eps):
@@ -156,24 +161,29 @@ def _lengths(m, eps):
 
 def _outcomes(lam, m, eps):
     """What follows a session of each lumped class c, for its Poisson
-    arrivals X of mean mu_c = lambda T_c: the lengths T_c, the next-class
-    rows P(X=0), P(X=1) and P(X>=2), and the reward rows P(2<=X<=M+1)
-    (Success), P(X>=M+2) (outage) and the packets it decodes, sum_{k<=M+1}
-    k P(X=k) = mu_c P(X<=M).  Each row has the class axis first; tails come
-    from pdtrc, so they keep relative precision."""
-    lengths = _lengths(m, eps)
-    mu = np.array([lam * t for t in lengths])
+    arrivals X of mean mu_c = lambda T_c: mu, then the next-class rows
+    P(X=0), P(X=1) and P(X>=2), and the rows P(2<=X<=M+1) (Success) and
+    P(X>=M+2) (outage) that split Long.  Each row has the class axis first;
+    tails come from pdtrc, so they keep relative precision."""
+    mu = np.array([lam * t for t in _lengths(m, eps)])
     # float counts: pdtr and pdtrc have only float loops, so an int k is cast per call
     p0 = special.pdtr(0.0, mu)
     long = special.pdtrc(1.0, mu)
     pu = special.pdtrc(m + 1.0, mu)
-    return lengths, (p0, mu * p0, long), (np.maximum(long - pu, 0.0), pu, mu * special.pdtr(m, mu))
+    return mu, (p0, mu * p0, long, np.maximum(long - pu, 0.0), pu)
+
+
+def _point_rows(lam, *rows):
+    """``rows`` as they are on a grid or, at a point (``lam`` a Python
+    float from :func:`_point`), each as a list of Python floats, one per
+    class: the algebra after the tails is then one code for both."""
+    return [*map(np.ndarray.tolist, rows)] if isinstance(lam, float) else rows
 
 
 def _expect(v, *rows):
     """Each reward row r reduced over the classes with weights v, left to
     right: v[0]*r[0] + v[1]*r[1] + v[2]*r[2], the one class sum of the
-    kernel.  The class axis is a sequence of three operands (numpy scalars
+    kernel.  The class axis is a sequence of three operands (Python floats
     at a point, arrays on a grid), not one stacked array."""
     return [v[0] * r[0] + v[1] * r[1] + v[2] * r[2] for r in rows]
 
@@ -194,13 +204,16 @@ def solve_chain(lam, m_relays, epsilon=DEFAULT_EPSILON) -> ChainSolution:
     success count and P(Outage) the outage.  All arithmetic is elementwise,
     so a grid point gives the same bits whatever grid it is solved in.
     """
-    return _solve(*check_grid(lam, m_relays, epsilon))
+    pi, *metrics = _metrics(*check_grid(lam, m_relays, epsilon))
+    pi = np.array(pi)  # leading axis last: np.moveaxis's view, at a fraction of its cost
+    return ChainSolution(pi.transpose(*range(1, pi.ndim), 0), *metrics)
 
 
-def _solve(lam, m, eps) -> ChainSolution:
-    lengths, (to_idle, to_single, to_long), (ps, pu, decoded) = _outcomes(lam, m, eps)
-    # q_xy: probability that the session after lumped state x is in state y;
-    # indexing boxes a numpy scalar for a quarter of what unpacking costs
+def _stationary(rows):
+    """The stationary (pi_0, pi_1, pi_S, pi_U), four operands, from the
+    rows of :func:`_outcomes` by the tree theorem of :func:`solve_chain`."""
+    to_idle, to_single, to_long, ps, pu = rows
+    # q_xy: probability that the session after lumped state x is in state y
     q_si, q_li = to_idle[1], to_idle[2]
     q_is, q_ls = to_single[0], to_single[2]
     q_il, q_sl = to_long[0], to_long[1]
@@ -210,11 +223,20 @@ def _solve(lam, m, eps) -> ChainSolution:
          q_il * q_sl + q_is * q_sl + q_si * q_il)
     w_success, w_outage = _expect(w, ps, pu)  # Long's weight, split by what follows
     total = w[0] + w[1] + w_success + w_outage
-    pi = [x / total for x in (w[0], w[1], w_success, w_outage)]
-    t_bar, k_bar, outage = _expect((pi[0], pi[1], pi[2] + pi[3]), lengths, decoded, pu)
-    pi = np.array(pi)  # leading axis last: np.moveaxis's view, at a fraction of its cost
-    return ChainSolution(pi=pi.transpose(*range(1, pi.ndim), 0), throughput=k_bar / t_bar,
-                         outage=outage, mean_session_length=t_bar, mean_success_count=k_bar)
+    return [x / total for x in (w[0], w[1], w_success, w_outage)]
+
+
+def _metrics(lam, m, eps):
+    """pi, then the throughput, outage, mean session length and mean
+    success count, in ChainSolution's field order.  The stationary lumped
+    v weighs the lengths T_c, the packets each class decodes, sum_{k<=M+1}
+    k P(X=k) = mu_c P(X<=M), and P(X>=M+2)."""
+    mu, rows = _outcomes(lam, m, eps)
+    *rows, decoded = _point_rows(lam, *rows, mu * special.pdtr(m, mu))
+    pi = _stationary(rows)
+    t_bar, k_bar, outage = _expect((pi[0], pi[1], pi[2] + pi[3]),
+                                   _lengths(m, eps), decoded, rows[-1])
+    return pi, k_bar / t_bar, outage, t_bar, k_bar
 
 
 def transition_matrix(params: SystemParams) -> np.ndarray:
@@ -223,7 +245,7 @@ def transition_matrix(params: SystemParams) -> np.ndarray:
     Rows condition on the previous session's length, so the Success and
     Unsuccess rows (both of length M+1) are identical.
     """
-    _, (p0, p1, _), (ps, pu, _) = _outcomes(*_point(params))
+    _, (p0, p1, _, ps, pu) = _outcomes(*_point(params))
     return np.array([p0, p1, ps, pu]).T.take([0, 1, 2, 2], axis=0)
 
 
@@ -274,13 +296,15 @@ def stationary_closed_form(params: SystemParams) -> StationaryDistribution:
     absorbed in Idle and pi = (1, 0, 0, 0).
     """
     method = "degenerate" if params.lam == 0 else "closed_form"
-    return StationaryDistribution(_solve(*_point(params)).pi, method=method)
+    lam, m, eps = _point(params)
+    pi = _stationary(_point_rows(lam, *_outcomes(lam, m, eps)[1]))
+    return StationaryDistribution(np.array(pi), method=method)
 
 
 def outage_exact(params: SystemParams) -> float:
     """Probability of a session with >= M+2 contenders (undecodable even with
     all M relay forwards), from the pdtrc tail after each state."""
-    return float(_solve(*_point(params)).outage)
+    return _metrics(*_point(params))[2]
 
 
 def throughput_exact(params: SystemParams) -> PerformanceMetrics:
@@ -288,13 +312,7 @@ def throughput_exact(params: SystemParams) -> PerformanceMetrics:
     bundled with outage and both means.  The mean success count is
     sum_i pi_i * lambda*T_i * P(X <= M), X ~ Poisson(lambda*T_i), which
     equals the first moment sum_{k=1}^{M+1} k Q(k) of the occupancy Q."""
-    sol = _solve(*_point(params))
-    return PerformanceMetrics(
-        throughput=float(sol.throughput),
-        outage=float(sol.outage),
-        mean_session_length=float(sol.mean_session_length),
-        mean_success_count=float(sol.mean_success_count),
-    )
+    return PerformanceMetrics(*_metrics(*_point(params))[1:])
 
 
 def gaussian_approx(lam, m_relays) -> tuple[np.ndarray, np.ndarray]:
@@ -307,21 +325,28 @@ def gaussian_approx(lam, m_relays) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _gaussian(lam, m):
-    # at lambda = 0, M / lambda = inf makes psi = +inf, so q and lam (1 - q) are 0
-    with np.errstate(divide="ignore"):
+    # at lambda = 0 (or so small that it overflows), M / lambda = inf makes
+    # psi = +inf, so q is 0 and lam (1 - q) is lambda
+    with np.errstate(divide="ignore", over="ignore"):
         psi = (1.0 - lam) * np.sqrt(m / lam)
     q = 0.5 * special.erfc(psi / math.sqrt(2.0))
     return lam * (1.0 - q), q
 
 
+def _gaussian_point(params: SystemParams):
+    # numpy scalars, not Python floats: they follow errstate, so lambda = 0
+    # divides to inf in _gaussian as it does on a grid
+    return _gaussian(np.float64(params.lam), np.float64(params.m_relays))
+
+
 def throughput_approx(params: SystemParams) -> float:
     """Large-M Gaussian approximation of the throughput at one point."""
-    return float(_gaussian(*_point(params)[:2])[0])
+    return float(_gaussian_point(params)[0])
 
 
 def outage_approx(params: SystemParams) -> float:
     """Large-M Gaussian approximation of the outage probability at one point."""
-    return float(_gaussian(*_point(params)[:2])[1])
+    return float(_gaussian_point(params)[1])
 
 
 def asymptotic_throughput(lam):

@@ -182,10 +182,14 @@ def detect(h: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a batch holding an exactly singular G) falls back to one SVD per matrix:
     pinv(H) r without singular values below 1e-15 of the largest, so a
     rank-deficient H still yields finite estimates, and the flag from
-    cond(H) itself.  Refuses K > M+1 and a non-finite H.
+    cond(H) itself.  Refuses K > M+1, an r whose shape is not
+    ``h.shape[:-1]`` and a non-finite H.
     """
     n_obs, k = h.shape[-2:]
     _check_determined(k, n_obs)
+    if r.shape != h.shape[:-1]:  # one received vector per matrix, one flag per trial
+        raise ValueError(f"received r must have shape h.shape[:-1] = {h.shape[:-1]}, "
+                         f"got {r.shape} for h of shape {h.shape}")
     hh = h.swapaxes(-1, -2).conj()
     g = hh @ h
     try:

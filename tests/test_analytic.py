@@ -2,6 +2,7 @@ import functools
 import math
 import re
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -215,11 +216,22 @@ class TestStationary:
 
 class TestSolveChain:
     def test_broadcast_grid_matches_single_points(self):
-        lams = np.array([[0.0], [0.3], [1.2], [2.0]])
-        ms = np.array([1, 7, 400, 3200])
-        for eps in (0.5, 1.0):
+        def largest_lambda(m):  # the largest lambda with lambda*(M+1) finite
+            lam = sys.float_info.max / (m + 1)
+            while lam * (m + 1) > sys.float_info.max:
+                lam = math.nextafter(lam, 0.0)
+            return lam
+
+        grids = [(np.array([[0.0], [0.3], [1.2], [2.0]]), np.array([1, 7, 400, 3200]), eps)
+                 for eps in (0.5, 1.0)]
+        # the domain's edges, where a Python float would raise on a divide by
+        # zero that numpy takes to inf (and RuntimeWarnings are errors here)
+        grids += [(np.array([[0.0], [5e-324], [1e-300], [1e6], [largest_lambda(m)]]),
+                   np.array([m]), eps) for m in (1, 3200) for eps in (0.05, 1.0)]
+        for lams, ms, eps in grids:
             sol = A.solve_chain(lams, ms, eps)
-            assert sol.pi.shape == (4, 4, 4) and sol.throughput.shape == (4, 4)
+            assert sol.pi.shape == (len(lams), len(ms), 4)
+            assert sol.throughput.shape == (len(lams), len(ms))
             tp, q = A.gaussian_approx(lams, ms)
             for a, lam in enumerate(lams[:, 0]):
                 for b, m in enumerate(ms):
@@ -237,7 +249,7 @@ class TestSolveChain:
                         assert type(v) is float
                     pi = A.stationary_closed_form(params).pi
                     assert pi.shape == (4,) and pi.dtype == np.float64
-                    assert np.array_equal(sol.pi[a, b], pi)
+                    assert sol.pi[a, b].tobytes() == pi.tobytes()
                     p = A.transition_matrix(params)
                     assert p.shape == (4, 4) and p.dtype == np.float64
                     assert p.flags.c_contiguous
@@ -482,6 +494,15 @@ class TestAsymptotics:
         for lam, m in ((-0.1, 5), (np.nan, 5), (0.8, 2.5), (0.8, 0)):
             with pytest.raises(ValueError):
                 A.gaussian_approx([0.4, lam], m)
+
+    def test_smallest_lambda_is_the_psi_infinity_limit(self):
+        # M / lambda overflows to inf: psi = +inf, so q = 0 and the
+        # throughput is lambda, with no overflow warning
+        params = A.SystemParams(5e-324, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert [float(v) for v in A.gaussian_approx(5e-324, 1)] == [5e-324, 0.0]
+            assert (A.throughput_approx(params), A.outage_approx(params)) == (5e-324, 0.0)
 
     def test_throughput_approx(self):
         assert A.throughput_approx(A.SystemParams(1.0, 7, 0.1)) == pytest.approx(0.5)

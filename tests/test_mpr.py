@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -385,6 +386,22 @@ class TestDetect:
                 mpr.decorrelate(h[3], r[3])
             with pytest.raises(ValueError, match="channel matrix h"):
                 mpr.detect(h, r)
+
+    @pytest.mark.parametrize("h_shape, r_shape", [
+        ((3, 2), (5, 3)),      # a lone h with a batched r: five estimates, one flag
+        ((3, 2), (4,)),        # an r longer than M+1
+        ((5, 3, 2), (5, 4)),
+        ((5, 3, 2), (3,)),     # one r for a batch of h
+        ((5, 3, 2), (4, 3)),
+    ])
+    def test_rejects_r_not_shaped_like_h(self, h_shape, r_shape):
+        rng = np.random.default_rng(5)
+        h = rng.standard_normal(h_shape) + 1j * rng.standard_normal(h_shape)
+        r = np.ones(r_shape, dtype=complex)
+        message = rf"h\.shape\[:-1\] = {re.escape(str(h_shape[:-1]))}, " \
+                  rf"got {re.escape(str(r_shape))} for h of shape {re.escape(str(h_shape))}"
+        with pytest.raises(ValueError, match=message):
+            mpr.detect(h, r)
 
 
 class TestSymbolErrorRate:
