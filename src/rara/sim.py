@@ -17,8 +17,15 @@ the CDF table of the arrival law over the length of the session before it
 alike.  The table is built once, by :class:`SimConfig`.  The walk runs in
 blocks of array steps, not per session.  Every table row ends in exactly
 1.0, so a K whose probability per session is below about 2**-53 cannot be
-drawn.  The counted sessions are then summed once, into session and packet
-counts per (batch, state), and every output is read from those two tables.
+drawn.
+
+Runs of one session count can be walked as a group (:func:`_run_group`;
+:func:`run` is the group of one, and the CLI walks the rows of a grid in
+groups): their chains share the walk's Python steps, each still drawing
+from its own generator, and their counted sessions are counted once, in
+one (chain, batch, K) table.  Each run's session and packet counts per
+(batch, state) are summed from it, and every output is read from those
+two tables, so a run's report does not depend on its group.
 """
 
 from __future__ import annotations
@@ -45,6 +52,15 @@ _BATCHES = 100
 # Largest arrival count per session the walk tabulates; a law that needs
 # more is refused, since its CDF table would not fit in memory.
 MAX_ARRIVALS = 2**21
+
+# Sessions a walk of a group of runs may hold: the CLI walks the rows of a
+# grid in consecutive groups whose sessions, warm-up included, fit in it (a
+# larger row walks alone).  A walk keeps about 16 B a session.
+_WALK_BUDGET = 2**17
+
+# Sessions whose K a walk reads at once, so that the lookup's temporaries
+# (17 B a session) stay small beside what the walk keeps
+_LOOKUP_SESSIONS = 2**14
 
 
 @dataclass(frozen=True)
@@ -180,86 +196,143 @@ def _cdf_table(model, durations) -> np.ndarray:
         size = stop
 
 
-def _walk(table: np.ndarray, n_sessions: int, rng: np.random.Generator) -> np.ndarray:
-    """Contender counts K of ``n_sessions`` consecutive sessions, the first
-    following a session of length 1, over the CDF ``table`` that
-    :func:`_cdf_table` builds for the (Idle, Single, Long) lengths.
+def _walk(tables: list[np.ndarray], n_sessions: int,
+          rngs: list[np.random.Generator]) -> np.ndarray:
+    """Contender counts K of ``n_sessions`` consecutive sessions of each of
+    several chains, as a (chain, session) array of int32: chain j walks the
+    CDF table ``tables[j]`` that :func:`_cdf_table` builds for the (Idle,
+    Single, Long) lengths, draws from ``rngs[j]``, and its first session
+    follows a session of length 1.  A chain's K do not depend on the other
+    chains of the call: a group of chains of one session count is walked
+    in lockstep only to share the Python steps.
 
     A session's K is ``searchsorted(F_c, u, side="right")`` for one uniform
     u, in the table row F_c of the class c (Idle, Single, Long) of the
-    session before it.  The uniforms are drawn as ``u`` of shape
+    session before it.  Each chain draws its uniforms as ``u`` of shape
     (isqrt(n_sessions), n_blocks), session i taking ``u.T.ravel()[i]``:
-    a block is a column.  Every block is walked in lockstep from each entry
-    class, the three walks of a block sharing its uniforms.  A walk is at a
-    flat position c * n_blocks + b, and ``nxt[step]`` maps each position
-    to the next, whose class is (u >= F_c(0)) + (u >= F_c(1)), so a step
-    is one ``take`` that chases the positions: no search and no K.  The
-    blocks are then chained: each enters one position past where its
-    predecessor's chosen walk ended, in the class that walk ended in.  The
-    uniforms do not depend on that choice, so this is the exact chain.
+    a block is a column.  Every block of every chain is walked in lockstep
+    from each entry class, the three walks of a block sharing its
+    uniforms.  A walk is at a flat position (c, chain, block), and
+    ``nxt[step]`` maps each position to the next, whose class is
+    (u >= F_c(0)) + (u >= F_c(1)) in the chain's own table, so a step is
+    one ``take`` that chases the positions of every chain at once: no
+    search and no K.  ``nxt[step]`` is read only at its step, so the
+    positions after it overwrite the row of ``nxt`` read the step before:
+    beside 8 bytes of uniforms, the walk keeps 6 bytes a session of int16
+    transitions and positions.  The blocks of each chain are then chained:
+    each enters one position past where its predecessor's chosen walk
+    ended, in the class that walk ended in.  The uniforms do not depend on
+    that choice, so this is the exact chain.
 
-    K is then read along the chosen path from a guide table, the indexed
-    search of Chen & Asau (1974; Devroye, *Non-Uniform Random Variate
-    Generation*, III.2.4).  With g buckets, ``guide[j, c]`` is the first k
-    with F_c(k) > j / g.  For j = floor(u g) that k is never past the
-    answer, since u >= j / g, and it is the answer unless F_c(k) <= u: for
-    at most about width / g of the sessions, which are then searched in
-    their row.  g is a power of two, so u g and j / g are exact and every K
-    is ``searchsorted``'s.  g is 4 times the row width rounded up to a
-    power of two, but no more than n_sessions rounded so, lest building
-    the guide cost more than it saves.  A K below 2 is its session's
-    class, and it is read the same way.
+    K is then read, chain by chain in the block layout of ``u``, along the
+    chosen path from a guide table, the indexed search of Chen & Asau
+    (1974; Devroye, *Non-Uniform Random Variate Generation*, III.2.4).
+    With g buckets, ``guide[j, c]`` is the first k with F_c(k) > j / g.
+    For j = floor(u g) that k is never past the answer, since u >= j / g,
+    and it is the answer unless F_c(k) <= u: for at most about width / g
+    of the sessions, which are then searched in their row.  g is a power
+    of two, so u g and j / g are exact and every K is ``searchsorted``'s.
+    g is 4 times the row width rounded up to a power of two, but no more
+    than n_sessions rounded so, lest building the guide cost more than it
+    saves.  A K below 2 is its session's class, and it is read the same
+    way.  K is read :data:`_LOOKUP_SESSIONS` sessions at a time, so the
+    lookup's temporaries stay small, and only K, four bytes a session, is
+    put in session order.
     """
     size = math.isqrt(n_sessions)
     n_blocks = -(-n_sessions // size)
-    u = rng.random((size, n_blocks))
+    chains = len(tables)
+    lanes = chains * n_blocks  # the blocks of every chain, in one class
+    u = np.empty((chains, size, n_blocks))
+    for rng, u_chain in zip(rngs, u):
+        rng.random(out=u_chain)  # the stream of rng.random((size, n_blocks))
     # the narrowest signed int that holds every flat position
-    itype = np.min_scalar_type(-3 * n_blocks)
-    nxt = np.empty((size, 3, n_blocks), dtype=itype)
-    for c in range(3):
-        np.add(u >= table[c, 0], u >= table[c, 1], out=nxt[:, c], dtype=itype)
-    nxt *= n_blocks  # next class c' at block b -> position c' * n_blocks + b
-    nxt += np.arange(n_blocks, dtype=itype)
-    nxt = nxt.reshape(size, 3 * n_blocks)
-    pos = np.empty((size + 1, 3 * n_blocks), dtype=itype)
-    pos[0] = np.arange(3 * n_blocks)
+    itype = np.min_scalar_type(-3 * lanes)
+    # a spare row, then the transition table: nxt[step] is read only at its
+    # step, so the positions after it overwrite the row before it
+    work = np.empty((size + 1, 3 * lanes), dtype=itype)
+    nxt = work[1:].reshape(size, 3, chains, n_blocks)
+    for chain, (table, u_chain) in enumerate(zip(tables, u)):
+        for c in range(3):
+            np.add(u_chain >= table[c, 0], u_chain >= table[c, 1], out=nxt[:, c, chain],
+                   dtype=itype)
+    nxt *= lanes  # next class c' of lane l -> position c' * lanes + l
+    nxt += np.arange(lanes, dtype=itype).reshape(chains, n_blocks)
+    pos = np.arange(3 * lanes, dtype=itype)
     for step in range(size):
         # every index is in range, and "clip" writes to out unbuffered
-        nxt[step].take(pos[step], out=pos[step + 1], mode="clip")
-    del nxt
-    ends, path = pos[size].tolist(), [n_blocks]  # block 0 enters in class 1
-    for _ in range(n_blocks - 1):
-        path.append(ends[path[-1]] + 1)
-    before = pos[:size, path]
-    del pos
-    before //= n_blocks
-    before = before.T.ravel()[:n_sessions]
-    u = u.T.ravel()[:n_sessions]
-    # guide[j, c] is the first k with F_c(k) > j / g and bound[j, c] is F_c
-    # there, laid out so that bucket j of class c is at 3j + c
-    g = 1 << (min(4 * table.shape[1], n_sessions) - 1).bit_length()
-    guide = np.stack([np.searchsorted(row, np.arange(g) / g, side="right")
-                      for row in table], axis=1)
-    bound = np.take_along_axis(table.T, guide, axis=0)
-    start = (u * g).astype(np.intp)
-    start *= 3
-    start += before
-    far = np.flatnonzero(bound.ravel().take(start) <= u)  # K past the guide
-    k = guide.ravel().take(start)
-    for c in range(3):
-        of_c = far[before[far] == c]
-        k[of_c] = np.searchsorted(table[c], u[of_c], side="right")
-    return k
+        pos = work[step + 1].take(pos, out=work[step], mode="clip")
+    ends, path = pos.tolist(), []
+    for first in range(lanes, 2 * lanes, n_blocks):  # block 0 enters in class 1
+        path.append(first)
+        for _ in range(n_blocks - 1):
+            path.append(ends[path[-1]] + 1)
+    # the chosen walks start at their path, and are at work[t - 1, path]
+    # after t steps
+    before = np.empty((size, lanes), dtype=itype)
+    before[0] = path
+    work[:size - 1].take(path, axis=1, out=before[1:], mode="clip")
+    del work, nxt, pos
+    before //= lanes
+    k = np.empty((chains, size, n_blocks), dtype=np.int32)
+    rows = max(1, _LOOKUP_SESSIONS // n_blocks)  # the rows of u whose K are read at once
+    for chain, (table, u_chain, k_chain) in enumerate(zip(tables, u, k)):
+        # guide[j, c] is the first k with F_c(k) > j / g and bound[j, c] is F_c
+        # there, laid out so that bucket j of class c is at 3j + c
+        g = 1 << (min(4 * table.shape[1], n_sessions) - 1).bit_length()
+        guide = np.stack([np.searchsorted(row, np.arange(g) / g, side="right")
+                          for row in table], axis=1).astype(np.int32)
+        bound = np.take_along_axis(table.T, guide, axis=0).ravel()
+        guide = guide.ravel()
+        for lo in range(0, size, rows):
+            u_in, k_out = u_chain[lo:lo + rows].ravel(), k_chain[lo:lo + rows].ravel()
+            c_in = before[lo:lo + rows, chain * n_blocks:(chain + 1) * n_blocks].ravel()
+            start = np.empty(u_in.shape, dtype=np.intp)
+            np.multiply(u_in, g, out=start, casting="unsafe")  # floor(u g), as u g >= 0
+            start *= 3
+            start += c_in
+            far = np.flatnonzero(bound.take(start) <= u_in)  # K past the guide
+            guide.take(start, out=k_out, mode="clip")
+            for c in range(3):
+                of_c = far[c_in[far] == c]
+                k_out[of_c] = np.searchsorted(table[c], u_in[of_c], side="right")
+    del u, before
+    return k.transpose(0, 2, 1).reshape(chains, size * n_blocks)[:, :n_sessions]
 
 
 def run(config: SimConfig) -> SimReport:
     """Simulate ``n_sessions`` counted sessions (after warm-up) and report
     empirical throughput, outage, and session-length estimates.
 
-    Warm-up and counted sessions are one chain walked by :func:`_walk`.
-    The counted sessions are then summarised in two integer tables indexed
-    by (batch, state), one counting sessions and one counting packets,
-    with a last row for the whole run; every output is read from them.
+    This is :func:`_run_group` of the one config: a run's report is the
+    same alone or in a group.  The arrival stream and the PHY randomness
+    use separate generators derived from the seed, so threshold and
+    phy-coupled runs with the same seed see identical arrival sequences.
+    """
+    return _run_group([config])[0]
+
+
+def _run_group(configs: list[SimConfig]) -> list[SimReport]:
+    """The :func:`run` report of each of ``configs``, all of one session
+    count, from one walk and one count table.
+
+    Warm-up and counted sessions of every config are one chain, and the
+    chains are walked together by :func:`_walk`.  The counted sessions of
+    all of them are then counted in one integer table indexed by (chain,
+    batch, K), and each chain's two (batch, state) tables, one counting
+    sessions and one counting packets, with a last row for the whole run,
+    are summed from its part as integers; every output is read from them.
+    A column's state is read off its K: Idle, Single, Success
+    (2 <= K <= M+1) or Unsuccess.  Every K below the widest table's width
+    gets a column, unless that gives more cells than there are counted
+    sessions: then only the K that occur do, so the table's size follows
+    the K drawn, not the width of the law.
+
+    Under the phy-coupled rule each chain then decodes its collisions of
+    each K in one call, K ascending, on its own PHY generator, the trials
+    taken in session order; a second table counts each (batch, K)'s
+    failed decodes, which are moved from Success to Unsuccess.
+
     The 100 batches (fewer when there are fewer sessions) are those of
     ``np.array_split``.  Every estimate is one ratio of whole-run sums:
     throughput is delivered packets (states 0-2) over time (session counts
@@ -268,40 +341,68 @@ def run(config: SimConfig) -> SimReport:
     the batch means of the same ratio, each batch ratio taken as sum over
     sum, not as a mean of per-session ratios (Asmussen & Glynn,
     *Stochastic Simulation*, ch. IV); with one session it is NaN.
-
-    The arrival stream and the PHY randomness use separate generators
-    derived from the seed, so threshold and phy-coupled runs with the same
-    seed see identical arrival sequences.
     """
-    params = config.params
-    m = params.m_relays
-    n = config.n_sessions
-    arr_rng, phy_rng = map(np.random.default_rng, np.random.SeedSequence(config.seed).spawn(2))
-    arrived = _walk(config._table, config.warmup_sessions + n, arr_rng)[config.warmup_sessions:]
-
-    # Idle, Single, Success (2 <= K <= M+1) or Unsuccess, by K alone
-    states = np.minimum(arrived, 2).astype(np.uint8)
-    states[arrived > m + 1] = 3
-    if config.success_rule == PHY_COUPLED:
-        # decode the collisions of each K in one call; failures are outages
-        collisions = np.flatnonzero(states == 2)
-        for k in np.unique(arrived[collisions]).tolist():
-            of_k = collisions[arrived[collisions] == k]
-            errors = mpr.symbol_errors(k, m, config.snr_db, len(of_k), phy_rng)
-            states[of_k[errors.any(axis=1)]] = 3
+    n, warmup = configs[0].n_sessions, configs[0].warmup_sessions
+    if any(config.n_sessions != n for config in configs):
+        raise ValueError("a group walks configs of one session count")
+    rngs = [list(map(np.random.default_rng, np.random.SeedSequence(config.seed).spawn(2)))
+            for config in configs]
+    arrived = _walk([config._table for config in configs], warmup + n,
+                    [arr_rng for arr_rng, _ in rngs])[:, warmup:]
 
     # batch means: sessions are Markov-dependent, so per-session errors
     # understate the variance; batches restore approximate independence
     n_batches = min(_BATCHES, n)
-    # cell 4 * batch + state; the first r batches hold one session more, as
-    # in np.array_split
+    # every K is below its table's width, so a column per K fits any chain
+    ks = np.arange(max(config._table.shape[1] for config in configs))
+    if n_batches * len(ks) > n:  # count only the K that occur
+        seen = np.bincount(arrived.ravel(), minlength=len(ks)) > 0
+        ks = np.flatnonzero(seen)
+        arrived = (np.cumsum(seen) - 1).take(arrived)  # the column of each K
+    per_chain = n_batches * len(ks)
+    # cell (chain * n_batches + batch) * len(ks) + column; the first r
+    # batches hold one session more, as in np.array_split
     q, r = divmod(n, n_batches)
-    cell = np.repeat(np.arange(0, 4 * n_batches, 4), [q + 1] * r + [q] * (n_batches - r))
-    cell += states
-    sessions, packets = (np.bincount(cell, w, 4 * n_batches).reshape(n_batches, 4).astype(int)
-                         for w in (None, arrived))
+    cell = np.repeat(np.arange(0, per_chain, len(ks)), [q + 1] * r + [q] * (n_batches - r))
+    cell = cell + arrived
+    cell += np.arange(0, len(configs) * per_chain, per_chain)[:, None]
+    counts = np.bincount(cell.ravel(), minlength=len(configs) * per_chain)
+    del cell
+    counts = counts.reshape(len(configs), n_batches, len(ks))
+    return [_report(config, chain_counts, ks, phy_rng)
+            for config, chain_counts, (_, phy_rng) in zip(configs, counts, rngs)]
+
+
+def _report(config: SimConfig, counts: np.ndarray, ks: np.ndarray,
+            phy_rng: np.random.Generator) -> SimReport:
+    """The report of one chain of :func:`_run_group` from its (batch, K)
+    session ``counts``, column i counting the sessions of K ``ks[i]``."""
+    params = config.params
+    m = params.m_relays
+    n_batches = len(counts)
+    # Idle, Single, Success (2 <= K <= M+1) or Unsuccess, by K alone
+    state = np.minimum(ks, 2)
+    state[ks > m + 1] = 3
+    of_state = state == np.arange(4)[:, None]
+    # what a session of each column adds to the sessions, then the packets,
+    # of each state: the (batch, 8) table of the two is one product
+    weights = np.concatenate([of_state, of_state * ks]).T
+    table = counts @ weights
+    if config.success_rule == PHY_COUPLED:
+        # decode the collisions of each K in one call; failures are outages
+        failed = np.zeros_like(counts)
+        for i in np.flatnonzero(of_state[2] & (counts.sum(axis=0) > 0)).tolist():
+            errors = mpr.symbol_errors(int(ks[i]), m, config.snr_db, int(counts[:, i].sum()),
+                                       phy_rng)
+            # trial t decodes the t-th session of this K, whose batch is batch[t]
+            batch = np.repeat(np.arange(n_batches), counts[:, i])
+            failed[:, i] = np.bincount(batch[errors.any(axis=1)], minlength=n_batches)
+        lost = failed @ weights[:, [2, 6]]  # the Success sessions and packets that failed
+        table[:, [2, 6]] -= lost
+        table[:, [3, 7]] += lost
     # a last row for the whole run, summed from the integer counts
-    sessions, packets = (np.vstack([t, t.sum(axis=0)]) for t in (sessions, packets))
+    table = np.vstack([table, table.sum(axis=0)])
+    sessions, packets = table[:, :4], table[:, 4:]
     # Sigma count * T summed from the Long end: T is (eps, 1, M+1, M+1), so
     # only the Idle term and the last addition round, within 1 ulp in all
     time = (sessions[:, ::-1] * params.durations[::-1]).sum(axis=1)

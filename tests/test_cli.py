@@ -277,6 +277,24 @@ class TestConcurrentRows:
             assert cli.main(args + ["--out", str(out)]) == 0
             assert out.read_bytes() == default.read_bytes()
 
+    def test_grouping_invisible(self, tmp_path, monkeypatch):
+        # simulated rows walked one per group, in the default groups, and
+        # all in one group write the same bytes
+        args = ["compare", "--lambda", "0.4,0.8", "--m", "1:4:1", "--sessions", "40000",
+                "--seed", "4"]
+        walked = 40_000 + sim.DEFAULT_WARMUP
+        sizes, run_group = [], sim._run_group
+        monkeypatch.setattr(sim, "_run_group",
+                            lambda configs: sizes.append(len(configs)) or run_group(configs))
+        outputs = []
+        for budget in (walked, sim._WALK_BUDGET, 8 * walked):
+            monkeypatch.setattr(sim, "_WALK_BUDGET", budget)
+            out = tmp_path / f"budget{budget}.csv"
+            assert cli.main(args + ["--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert sorted(sizes) == [1] * 8 + [2, 3, 3, 8]
+        assert outputs[0] == outputs[1] == outputs[2]
+
     def test_heaviest_phy_rows_start_first(self, tmp_path, monkeypatch):
         # one thread enters the rows in the order they are handed to the pool:
         # descending K(M+1), ties in grid order; the table stays in grid order
@@ -296,10 +314,11 @@ class TestConcurrentRows:
         assert entered != grid
         assert [(int(row["k"]), int(row["m"])) for row in read_csv(out)] == grid
 
-    # the rows that fail: (k, M) = (2, 2) of phy, and M = 3 of compare
+    # the rows that fail: (k, M) = (2, 2) of phy, and M = 3 of compare, whose
+    # config fails as it is built, in the group of rows that it is walked with
     @pytest.mark.parametrize("args, module, name, fails", [
         (ARGS[0], mpr, "symbol_error_rate", lambda k, m, *rest: (k, m) == (2, 2)),
-        (ARGS[1], sim, "run", lambda config: config.params.m_relays == 3),
+        (ARGS[1], sim, "SimConfig", lambda params, *rest: params.m_relays == 3),
     ], ids=["phy", "compare"])
     def test_failing_row_raises_and_writes_nothing(self, tmp_path, monkeypatch,
                                                    args, module, name, fails):

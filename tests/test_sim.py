@@ -86,7 +86,7 @@ class TestCdfTable:
         rng = np.random.default_rng(0)
         durations = A.SystemParams(0.8, 10).durations[:3]
         def walk(model, n):
-            return sim._walk(sim._cdf_table(model, durations), n, rng)
+            return sim._walk([sim._cdf_table(model, durations)], n, [rng])[0]
 
         assert not walk(sim.PoissonProcess(0.0), 1000).any()
         assert not walk(sim.FinitePopulation(30, 0.0), 1000).any()
@@ -109,7 +109,7 @@ class TestCdfTable:
         # the K histogram after each class matches its table row's pmf
         durations = A.SystemParams(1.0, 3).durations[:3]
         table = sim._cdf_table(model, durations)
-        k = sim._walk(table, 200_000, np.random.default_rng(3))
+        k = sim._walk([table], 200_000, [np.random.default_rng(3)])[0]
         before = np.minimum(np.concatenate([[1], k[:-1]]), 2)
         for c in range(3):
             after = k[before == c]
@@ -154,23 +154,39 @@ class TestWalk:
     def test_matches_session_by_session_chain(self, case, n):
         model, params = WALK_CASES[case]
         durations = params.durations[:3]
-        k = sim._walk(sim._cdf_table(model, durations), n, np.random.default_rng(n))
+        k = sim._walk([sim._cdf_table(model, durations)], n, [np.random.default_rng(n)])[0]
         assert np.array_equal(k, _walk_by_session(model, durations, n, np.random.default_rng(n)))
 
+    @pytest.mark.parametrize("n", [1, 2, 37, 10_007])
+    def test_lanes_match_one_chain_walks(self, n):
+        # a chain's K do not depend on the chains walked beside it: no
+        # traffic, a row of ~7000 entries and a small population side by side
+        tables = [sim._cdf_table(model, params.durations[:3])
+                  for model, params in WALK_CASES.values()]
+        group = sim._walk(tables, n, [np.random.default_rng(i) for i in range(len(tables))])
+        for i, table in enumerate(tables):
+            alone = sim._walk([table], n, [np.random.default_rng(i)])[0]
+            assert group[i].dtype == alone.dtype and np.array_equal(group[i], alone)
+
     def test_memory_is_bounded(self):
-        # 1,001,000 sessions hold 8 MB of uniforms; the int16 positions, the
-        # class-major transition table and the guide lookup's temporaries
-        # keep the peak near 32 MB.  A walk that gathers each Long session
-        # per class with intp copies peaks near 55 MB, so the bound fails it
+        # one walk of 1,001,000 sessions, and a group of three chains that
+        # fills the walk budget.  A walk keeps 8 B of uniforms, 6 B of int16
+        # transitions and positions and 2 B of classes a session, then an
+        # int32 K; the lookup's temporaries cover _LOOKUP_SESSIONS sessions
+        # at a time.  The peak is near 18 B a session.  A walk that keeps
+        # the transitions apart from the positions and a second,
+        # session-order copy of the uniforms peaks near 27 B a session, so
+        # the bound fails it
         durations = PARAMS_DEFAULT.durations[:3]
-        tracemalloc.start()
-        try:
-            sim._walk(sim._cdf_table(sim.PoissonProcess(0.8), durations), 1_001_000,
-                      np.random.default_rng(1))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 50e6
+        for lams, sessions in (((0.8,), 1_001_000), ((0.8, 0.4, 1.2), sim._WALK_BUDGET // 3)):
+            tables = [sim._cdf_table(sim.PoissonProcess(lam), durations) for lam in lams]
+            tracemalloc.start()
+            try:
+                sim._walk(tables, sessions, [np.random.default_rng(i) for i in range(len(lams))])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 22 * len(lams) * sessions
 
 
 class TestRun:
@@ -181,6 +197,27 @@ class TestRun:
         assert rep.sessions_by_state == (1000, 0, 0, 0)
         assert rep.throughput_hat == 0.0
         assert rep.total_time == pytest.approx(1000 * 0.1)
+
+    @pytest.mark.parametrize("n", [1, 37, 1000, 41_000])
+    def test_group_matches_runs_alone(self, n):
+        # each report of a grouped run is its config's run alone, bit for bit:
+        # no traffic, both laws, both rules, and rows of up to ~3000 entries.
+        # In the whole group only the K that occur get a column; the first
+        # three cases alone at 41,000 sessions keep a column for every K
+        cases = [(0.0, 10, 0.1, None, None), (0.3, 1, 0.5, 60, None),
+                 (1.5, 30, 0.9, None, None), (0.8, 4, 0.1, None, 5.0),
+                 (3.0, 100, 0.2, 400, None), (0.8, 3200, 0.05, None, None),
+                 (1.2, 6, 0.3, 60, 10.0)]
+        configs = [sim.SimConfig(
+            A.SystemParams(lam, m, eps),
+            sim.PoissonProcess(lam) if devices is None
+            else sim.FinitePopulation.from_traffic(lam, devices),
+            n, seed=seed, success_rule=sim.THRESHOLD if snr_db is None else sim.PHY_COUPLED,
+            snr_db=snr_db) for seed, (lam, m, eps, devices, snr_db) in enumerate(cases)]
+        alone = [repr(sim.run(config)) for config in configs]  # repr: NaN equals NaN
+        assert [repr(rep) for rep in sim._run_group(configs)] == alone
+        assert [repr(rep) for rep in sim._run_group(configs[::-1])] == alone[::-1]
+        assert [repr(rep) for rep in sim._run_group(configs[:3])] == alone[:3]
 
     def test_determinism(self):
         cfg = sim.SimConfig(PARAMS_DEFAULT, sim.PoissonProcess(0.8), 20_000, seed=42)
@@ -259,7 +296,7 @@ class TestRun:
             table = sim._cdf_table(model, durations)
             counts = np.zeros((3, 6))
             for _ in range(2000):
-                k = sim._walk(table, 100, rng)
+                k = sim._walk([table], 100, [rng])[0]
                 np.add.at(counts, (np.minimum(k[:-1], 2), np.minimum(k[1:], 5)), 1)
             p = np.array([_law_pmf(model, t, np.arange(6)) for t in durations])
             p[:, 5] = 1 - p[:, :5].sum(axis=1)
@@ -276,8 +313,8 @@ class TestRun:
         cfg = sim.SimConfig(PARAMS_DEFAULT, sim.PoissonProcess(0.8), n, seed=4)
         rep = sim.run(cfg)
         arr_ss, _ = np.random.SeedSequence(4).spawn(2)
-        k = sim._walk(sim._cdf_table(cfg.arrivals, PARAMS_DEFAULT.durations[:3]),
-                      cfg.warmup_sessions + n, np.random.default_rng(arr_ss))
+        k = sim._walk([sim._cdf_table(cfg.arrivals, PARAMS_DEFAULT.durations[:3])],
+                      cfg.warmup_sessions + n, [np.random.default_rng(arr_ss)])[0]
         k = k[cfg.warmup_sessions:]
         states = np.minimum(k, 2)
         states[k > PARAMS_DEFAULT.m_relays + 1] = 3
@@ -338,8 +375,8 @@ class TestRun:
                             success_rule=sim.PHY_COUPLED, snr_db=10.0)
         rep = sim.run(cfg)
         arr_ss, _ = np.random.SeedSequence(8).spawn(2)
-        k = sim._walk(sim._cdf_table(cfg.arrivals, params.durations[:3]),
-                      cfg.warmup_sessions + 5000, np.random.default_rng(arr_ss))
+        k = sim._walk([sim._cdf_table(cfg.arrivals, params.durations[:3])],
+                      cfg.warmup_sessions + 5000, [np.random.default_rng(arr_ss)])[0]
         k = k[cfg.warmup_sessions:]
         lost = (k > params.m_relays + 1) | ((k >= 2) & (k % 2 == 0))
         assert rep.sessions_by_state[3] == np.count_nonzero(lost) > 0
