@@ -269,6 +269,7 @@ def _walk(tables: list[np.ndarray], n_sessions: int,
             path.append(ends[path[-1]] + 1)
     # the chosen walks start at their path, and are at work[t - 1, path]
     # after t steps
+    path = np.array(path)
     before = np.empty((size, lanes), dtype=itype)
     before[0] = path
     work[:size - 1].take(path, axis=1, out=before[1:], mode="clip")
@@ -324,9 +325,9 @@ def _run_group(configs: list[SimConfig]) -> list[SimReport]:
     are summed from its part as integers; every output is read from them.
     A column's state is read off its K: Idle, Single, Success
     (2 <= K <= M+1) or Unsuccess.  Every K below the widest table's width
-    gets a column, unless that gives more cells than there are counted
+    gets a column, unless that gives more cells than each chain walks
     sessions: then only the K that occur do, so the table's size follows
-    the K drawn, not the width of the law.
+    the K drawn, not the width of the law, and stays below the walk's.
 
     Under the phy-coupled rule each chain then decodes its collisions of
     each K in one call, K ascending, on its own PHY generator, the trials
@@ -355,7 +356,7 @@ def _run_group(configs: list[SimConfig]) -> list[SimReport]:
     n_batches = min(_BATCHES, n)
     # every K is below its table's width, so a column per K fits any chain
     ks = np.arange(max(config._table.shape[1] for config in configs))
-    if n_batches * len(ks) > n:  # count only the K that occur
+    if n_batches * len(ks) > warmup + n:  # count only the K that occur
         seen = np.bincount(arrived.ravel(), minlength=len(ks)) > 0
         ks = np.flatnonzero(seen)
         arrived = (np.cumsum(seen) - 1).take(arrived)  # the column of each K
