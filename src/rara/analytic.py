@@ -209,19 +209,26 @@ def solve_chain(lam, m_relays, epsilon=DEFAULT_EPSILON) -> ChainSolution:
     return ChainSolution(pi.transpose(*range(1, pi.ndim), 0), *metrics)
 
 
-def _stationary(rows):
-    """The stationary (pi_0, pi_1, pi_S, pi_U), four operands, from the
-    rows of :func:`_outcomes` by the tree theorem of :func:`solve_chain`."""
-    to_idle, to_single, to_long, ps, pu = rows
+def _tree_weights(to_idle, to_single, to_long):
+    """The spanning-tree weights of Idle, Single and Long, proportional to
+    the stationary law of the lumped class chain whose next-class rows are
+    ``to_idle``, ``to_single`` and ``to_long`` (each indexed by the class
+    before), by the tree theorem of :func:`solve_chain`.  ``sim`` draws its
+    chains' entry classes from the weights of its own tables."""
     # q_xy: probability that the session after lumped state x is in state y
     q_si, q_li = to_idle[1], to_idle[2]
     q_is, q_ls = to_single[0], to_single[2]
     q_il, q_sl = to_long[0], to_long[1]
-    # spanning-tree weights of Idle, Single and Long
-    w = (q_si * q_li + q_sl * q_li + q_ls * q_si,
-         q_is * q_ls + q_il * q_ls + q_li * q_is,
-         q_il * q_sl + q_is * q_sl + q_si * q_il)
-    w_success, w_outage = _expect(w, ps, pu)  # Long's weight, split by what follows
+    return (q_si * q_li + q_sl * q_li + q_ls * q_si,
+            q_is * q_ls + q_il * q_ls + q_li * q_is,
+            q_il * q_sl + q_is * q_sl + q_si * q_il)
+
+
+def _stationary(rows):
+    """The stationary (pi_0, pi_1, pi_S, pi_U), four operands, from the
+    rows of :func:`_outcomes` by the tree theorem of :func:`solve_chain`."""
+    w = _tree_weights(*rows[:3])
+    w_success, w_outage = _expect(w, *rows[3:])  # Long's weight, split by what follows
     total = w[0] + w[1] + w_success + w_outage
     return [x / total for x in (w[0], w[1], w_success, w_outage)]
 

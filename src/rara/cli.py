@@ -260,9 +260,9 @@ def build_rows(spec: ExperimentSpec) -> tuple[list[str], list[tuple]]:
     seed of ``sim.derive_seeds``, so the rows are evaluated concurrently, on
     as many threads as the process has CPUs; the output does not depend on
     the thread count.  A phy row is one task of the pool.  Simulated rows
-    are handed to it in groups of consecutive rows whose sessions, warm-up
-    included, fit ``sim._WALK_BUDGET`` (a larger row is a group of its
-    own), and a group is walked together: a second thread barely helps
+    are handed to it in groups of consecutive rows whose sessions fit
+    ``sim._WALK_BUDGET`` (a larger row is a group of its own), and a group
+    is walked together: a second thread barely helps
     walks of a few 10**4 sessions (30 took 22.6 ms one after another and
     22.0 ms on two threads of a 2-core host), so a group saves Python steps
     instead.  Threads help phy rows only when they are large: two rows at
@@ -285,7 +285,7 @@ def build_rows(spec: ExperimentSpec) -> tuple[list[str], list[tuple]]:
     else:
         grid = [(lam, m) for lam in spec.lambda_grid for m in spec.m_grid]
         columns = _theory_columns(*(np.array(v) for v in zip(*grid)), spec.epsilon)
-        per_group = max(1, sim._WALK_BUDGET // (spec.n_sessions + sim.DEFAULT_WARMUP))
+        per_group = max(1, sim._WALK_BUDGET // spec.n_sessions)
 
         def evaluate(cells, seeds):
             return sim._run_group([_point(*cell, spec.epsilon, spec.n_sessions, seed)

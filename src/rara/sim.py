@@ -17,7 +17,9 @@ the CDF table of the arrival law over the length of the session before it
 alike.  The table is built once, by :class:`SimConfig`.  The walk runs in
 blocks of array steps, not per session.  Every table row ends in exactly
 1.0, so a K whose probability per session is below about 2**-53 cannot be
-drawn.
+drawn.  A run's chain enters in a class drawn from the stationary law of
+the class chain its table drives (:func:`_entry_class`), so every session
+it walks is stationary from the first and every one is counted.
 
 Runs of one session count can be walked as a group (:func:`_run_group`;
 :func:`run` is the group of one, and the CLI walks the rows of a grid in
@@ -38,14 +40,12 @@ import numpy as np
 from scipy import special
 
 from . import mpr
-from .analytic import SystemParams, check_count, check_grid
+from .analytic import SystemParams, _tree_weights, check_count, check_grid
 
 THRESHOLD = "threshold"
 PHY_COUPLED = "phy"
 
-# Sessions simulated before counting starts, to wash out the arbitrary
-# initial condition (first contenders drawn over one unit time).
-DEFAULT_WARMUP = 1000
+DEFAULT_WARMUP = 0  # read only by the benchmark, until its next change drops it
 
 _BATCHES = 100
 
@@ -54,8 +54,8 @@ _BATCHES = 100
 MAX_ARRIVALS = 2**21
 
 # Sessions a walk of a group of runs may hold: the CLI walks the rows of a
-# grid in consecutive groups whose sessions, warm-up included, fit in it (a
-# larger row walks alone).  A walk keeps about 16 B a session.
+# grid in consecutive groups whose sessions fit in it (a larger row walks
+# alone).  A walk keeps about 16 B a session.
 _WALK_BUDGET = 2**17
 
 # Sessions whose K a walk reads at once, so that the lookup's temporaries
@@ -121,9 +121,7 @@ class SimConfig:
     lambda = 100, M = 1000, and up to about 50 MB for a law at the
     :data:`MAX_ARRIVALS` edge, so a caller that keeps many configs of such
     laws holds one table each.  Building the table is the one check of
-    what the walk can tabulate.  Every run first walks and drops
-    :data:`DEFAULT_WARMUP` sessions; ``warmup_sessions`` reads that number
-    and is not an init argument."""
+    what the walk can tabulate."""
 
     params: SystemParams
     arrivals: PoissonProcess | FinitePopulation
@@ -131,7 +129,7 @@ class SimConfig:
     seed: int = 0
     success_rule: str = THRESHOLD
     snr_db: float | None = None
-    warmup_sessions: int = field(default=DEFAULT_WARMUP, init=False)
+    warmup_sessions = 0  # read only by the benchmark, until its next change drops it
     # the CDF table of the arrival law that run walks, built once, here
     _table: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -196,22 +194,23 @@ def _cdf_table(model, durations) -> np.ndarray:
         size = stop
 
 
-def _walk(tables: list[np.ndarray], n_sessions: int,
-          rngs: list[np.random.Generator]) -> np.ndarray:
+def _walk(tables: list[np.ndarray], n_sessions: int, rngs: list[np.random.Generator],
+          entries: list[int]) -> np.ndarray:
     """Contender counts K of ``n_sessions`` consecutive sessions of each of
     several chains, as a (chain, session) array of int32: chain j walks the
     CDF table ``tables[j]`` that :func:`_cdf_table` builds for the (Idle,
     Single, Long) lengths, draws from ``rngs[j]``, and its first session
-    follows a session of length 1.  A chain's K do not depend on the other
-    chains of the call: a group of chains of one session count is walked
-    in lockstep only to share the Python steps.
+    follows a session of class ``entries[j]`` (0 Idle, 1 Single, 2 Long).
+    A chain's K do not depend on the other chains of the call: a group of
+    chains of one session count is walked in lockstep only to share the
+    Python steps.
 
     A session's K is ``searchsorted(F_c, u, side="right")`` for one uniform
     u, in the table row F_c of the class c (Idle, Single, Long) of the
     session before it.  Each chain draws its uniforms as ``u`` of shape
     (isqrt(n_sessions), n_blocks), session i taking ``u.T.ravel()[i]``:
     a block is a column.  Every block of every chain is walked in lockstep
-    from each entry class, the three walks of a block sharing its
+    from each of the three classes, the three walks of a block sharing its
     uniforms.  A walk is at a flat position (c, chain, block), and
     ``nxt[step]`` maps each position to the next, whose class is
     (u >= F_c(0)) + (u >= F_c(1)) in the chain's own table, so a step is
@@ -263,8 +262,8 @@ def _walk(tables: list[np.ndarray], n_sessions: int,
         # every index is in range, and "clip" writes to out unbuffered
         pos = work[step + 1].take(pos, out=work[step], mode="clip")
     ends, path = pos.tolist(), []
-    for first in range(lanes, 2 * lanes, n_blocks):  # block 0 enters in class 1
-        path.append(first)
+    for first, entry in zip(range(0, lanes, n_blocks), entries):  # block 0 of each chain
+        path.append(entry * lanes + first)
         for _ in range(n_blocks - 1):
             path.append(ends[path[-1]] + 1)
     # the chosen walks start at their path, and are at work[t - 1, path]
@@ -301,8 +300,31 @@ def _walk(tables: list[np.ndarray], n_sessions: int,
     return k.transpose(0, 2, 1).reshape(chains, size * n_blocks)[:, :n_sessions]
 
 
+def _class_weights(table: np.ndarray) -> np.ndarray:
+    """The stationary law of the (Idle, Single, Long) class chain that the
+    CDF ``table`` drives, up to its sum: the tree weights of
+    :func:`rara.analytic._tree_weights` for the next-class rows read off the
+    table, Q_c = (F_c(0), F_c(1) - F_c(0), 1 - F_c(1)).  The table is the
+    input, so one code covers every arrival law."""
+    f0, f1 = table[:, 0], table[:, 1]
+    return np.array(_tree_weights(f0, f1 - f0, 1.0 - f1))
+
+
+def _entry_class(table: np.ndarray, rng: np.random.Generator) -> int:
+    """The class of the session before a chain's first, drawn from
+    :func:`_class_weights` w by one uniform u of ``rng``: the number of
+    w_0 and w_0 + w_1 at or below u (w_0 + w_1 + w_2), as K is drawn from
+    a table row.  The uniform is scaled by the sum rather than the weights
+    divided by it, so where every weight rounds to 0 there is no 0 / 0: the
+    class is then Long.  That is where Idle and Long are both closed in the
+    rounded table, as at lambda = 1e-17, M = 10**20, epsilon = 1, where
+    theory's pi_S is 1."""
+    w = _class_weights(table)
+    return int(np.searchsorted(np.cumsum(w)[:2], rng.random() * w.sum(), side="right"))
+
+
 def run(config: SimConfig) -> SimReport:
-    """Simulate ``n_sessions`` counted sessions (after warm-up) and report
+    """Simulate ``n_sessions`` sessions from a stationary start and report
     empirical throughput, outage, and session-length estimates.
 
     This is :func:`_run_group` of the one config: a run's report is the
@@ -317,8 +339,9 @@ def _run_group(configs: list[SimConfig]) -> list[SimReport]:
     """The :func:`run` report of each of ``configs``, all of one session
     count, from one walk and one count table.
 
-    Warm-up and counted sessions of every config are one chain, and the
-    chains are walked together by :func:`_walk`.  The counted sessions of
+    Each config is one chain, which enters in a class drawn by
+    :func:`_entry_class` with the first uniform of its arrival generator,
+    and the chains are walked together by :func:`_walk`.  The sessions of
     all of them are then counted in one integer table indexed by (chain,
     batch, K), and each chain's two (batch, state) tables, one counting
     sessions and one counting packets, with a last row for the whole run,
@@ -343,20 +366,21 @@ def _run_group(configs: list[SimConfig]) -> list[SimReport]:
     sum, not as a mean of per-session ratios (Asmussen & Glynn,
     *Stochastic Simulation*, ch. IV); with one session it is NaN.
     """
-    n, warmup = configs[0].n_sessions, configs[0].warmup_sessions
+    n = configs[0].n_sessions
     if any(config.n_sessions != n for config in configs):
         raise ValueError("a group walks configs of one session count")
     rngs = [list(map(np.random.default_rng, np.random.SeedSequence(config.seed).spawn(2)))
             for config in configs]
-    arrived = _walk([config._table for config in configs], warmup + n,
-                    [arr_rng for arr_rng, _ in rngs])[:, warmup:]
+    tables, arr_rngs = [config._table for config in configs], [arr_rng for arr_rng, _ in rngs]
+    entries = [_entry_class(table, arr_rng) for table, arr_rng in zip(tables, arr_rngs)]
+    arrived = _walk(tables, n, arr_rngs, entries)
 
     # batch means: sessions are Markov-dependent, so per-session errors
     # understate the variance; batches restore approximate independence
     n_batches = min(_BATCHES, n)
     # every K is below its table's width, so a column per K fits any chain
     ks = np.arange(max(config._table.shape[1] for config in configs))
-    if n_batches * len(ks) > warmup + n:  # count only the K that occur
+    if n_batches * len(ks) > n:  # count only the K that occur
         seen = np.bincount(arrived.ravel(), minlength=len(ks)) > 0
         ks = np.flatnonzero(seen)
         arrived = (np.cumsum(seen) - 1).take(arrived)  # the column of each K

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -220,6 +221,20 @@ class TestSimAndCompareModes:
                                         - float(row["throughput_exact"])))
         assert err < max(3 * float(row["stderr"]), 0.005)
 
+    def test_locked_chain_enters_in_long(self, tmp_path):
+        # at lambda = 1e-17, M = 10**20, epsilon = 1 the table rounds the
+        # chain into two closed classes, Idle and Long, and theory puts it in
+        # Long (pi_S = 1): a run that entered in Idle would count no packet
+        out = tmp_path / "c.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["compare", "--lambda", "1e-17", "--m", str(10**20), "--epsilon", "1",
+                             "--sessions", "1000", "--seed", "1", "--out", str(out)]) == 0
+        row = read_csv(out)[0]
+        assert float(row["pi_S"]) == 1.0
+        hat, stderr = float(row["throughput_hat"]), float(row["stderr"])
+        assert hat > 0 and abs(hat - 1e-17) < 5 * stderr
+
     def test_sim_row_count(self, tmp_path):
         out = tmp_path / "s.csv"
         cli.main(["sim", "--lambda", "0.4,0.8", "--m", "5,10",
@@ -282,7 +297,7 @@ class TestConcurrentRows:
         # all in one group write the same bytes
         args = ["compare", "--lambda", "0.4,0.8", "--m", "1:4:1", "--sessions", "40000",
                 "--seed", "4"]
-        walked = 40_000 + sim.DEFAULT_WARMUP
+        walked = 40_000
         sizes, run_group = [], sim._run_group
         monkeypatch.setattr(sim, "_run_group",
                             lambda configs: sizes.append(len(configs)) or run_group(configs))

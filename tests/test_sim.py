@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -86,7 +87,7 @@ class TestCdfTable:
         rng = np.random.default_rng(0)
         durations = A.SystemParams(0.8, 10).durations[:3]
         def walk(model, n):
-            return sim._walk([sim._cdf_table(model, durations)], n, [rng])[0]
+            return sim._walk([sim._cdf_table(model, durations)], n, [rng], [1])[0]
 
         assert not walk(sim.PoissonProcess(0.0), 1000).any()
         assert not walk(sim.FinitePopulation(30, 0.0), 1000).any()
@@ -109,8 +110,10 @@ class TestCdfTable:
         # the K histogram after each class matches its table row's pmf
         durations = A.SystemParams(1.0, 3).durations[:3]
         table = sim._cdf_table(model, durations)
-        k = sim._walk([table], 200_000, [np.random.default_rng(3)])[0]
-        before = np.minimum(np.concatenate([[1], k[:-1]]), 2)
+        rng = np.random.default_rng(3)
+        entry = sim._entry_class(table, rng)
+        k = sim._walk([table], 200_000, [rng], [entry])[0]
+        before = np.minimum(np.concatenate([[entry], k[:-1]]), 2)
         for c in range(3):
             after = k[before == c]
             pmf = np.diff(table[c], prepend=0.0)
@@ -123,14 +126,14 @@ class TestCdfTable:
             assert counts[~seen].sum() <= 2
 
 
-def _walk_by_session(model, durations, n_sessions, rng):
+def _walk_by_session(model, durations, n_sessions, rng, entry):
     """The chain of :func:`sim._walk` stepped one session at a time: the
     same uniforms in the same block-major order, each K the row search of
-    the class before it, the first session following class 1."""
+    the class before it, the first session following class ``entry``."""
     table = sim._cdf_table(model, durations)
     size = math.isqrt(n_sessions)
     u = rng.random((size, -(-n_sessions // size))).T.ravel()[:n_sessions]
-    k, c = [], 1
+    k, c = [], entry
     for x in u:
         k.append(int(np.searchsorted(table[c], x, side="right")))
         c = min(k[-1], 2)
@@ -152,10 +155,13 @@ class TestWalk:
     @pytest.mark.parametrize("n", [1, 2, 3, 37, 10_007])
     @pytest.mark.parametrize("case", list(WALK_CASES))
     def test_matches_session_by_session_chain(self, case, n):
+        # the values of n enter in all three classes
         model, params = WALK_CASES[case]
         durations = params.durations[:3]
-        k = sim._walk([sim._cdf_table(model, durations)], n, [np.random.default_rng(n)])[0]
-        assert np.array_equal(k, _walk_by_session(model, durations, n, np.random.default_rng(n)))
+        k = sim._walk([sim._cdf_table(model, durations)], n, [np.random.default_rng(n)],
+                      [n % 3])[0]
+        assert np.array_equal(k, _walk_by_session(model, durations, n, np.random.default_rng(n),
+                                                  n % 3))
 
     @pytest.mark.parametrize("n", [1, 2, 37, 10_007])
     def test_lanes_match_one_chain_walks(self, n):
@@ -163,9 +169,12 @@ class TestWalk:
         # traffic, a row of ~7000 entries and a small population side by side
         tables = [sim._cdf_table(model, params.durations[:3])
                   for model, params in WALK_CASES.values()]
-        group = sim._walk(tables, n, [np.random.default_rng(i) for i in range(len(tables))])
+        # the chains enter in classes 0, 1, 2, 0 and 1
+        entries = [i % 3 for i in range(len(tables))]
+        group = sim._walk(tables, n, [np.random.default_rng(i) for i in range(len(tables))],
+                          entries)
         for i, table in enumerate(tables):
-            alone = sim._walk([table], n, [np.random.default_rng(i)])[0]
+            alone = sim._walk([table], n, [np.random.default_rng(i)], [entries[i]])[0]
             assert group[i].dtype == alone.dtype and np.array_equal(group[i], alone)
 
     def test_memory_is_bounded(self):
@@ -182,11 +191,71 @@ class TestWalk:
             tables = [sim._cdf_table(sim.PoissonProcess(lam), durations) for lam in lams]
             tracemalloc.start()
             try:
-                sim._walk(tables, sessions, [np.random.default_rng(i) for i in range(len(lams))])
+                sim._walk(tables, sessions, [np.random.default_rng(i) for i in range(len(lams))],
+                          [1] * len(lams))
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             assert peak < 22 * len(lams) * sessions
+
+
+class _Uniform:
+    """A generator whose every uniform is ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+class TestEntry:
+    # (lambda, M, epsilon): slow and fast mixing, no traffic, and a chain
+    # that is almost always Idle and one that is almost always Long
+    @pytest.mark.parametrize("lam, m, eps", [
+        (0.05, 400, 0.1), (0.8, 10, 0.1), (0.0, 10, 0.1), (0.2, 50, 0.1), (1.2, 5, 0.1),
+        (0.01, 10, 0.05), (0.01, 3200, 0.05), (2.0, 3200, 0.5)])
+    def test_law_is_the_closed_form(self, lam, m, eps):
+        # the entry law, read off the walk's table, is theory's lumped
+        # stationary law; the table's 1 - F_c(1) cancels to about 2e-10
+        # relative at the rarest class here, the closed form's tail does not
+        params = A.SystemParams(lam, m, eps)
+        w = sim._class_weights(sim.SimConfig(params, sim.PoissonProcess(lam), 1)._table)
+        pi = A.stationary_closed_form(params).pi
+        np.testing.assert_allclose(w / w.sum(), [pi[0], pi[1], pi[2] + pi[3]], rtol=1e-9, atol=0)
+
+    def test_law_of_a_finite_population(self):
+        # the left eigenvector of eigenvalue 1 of the table's class chain
+        table = sim._cdf_table(sim.FinitePopulation(20, 0.05), A.SystemParams(1.0, 3).durations[:3])
+        q = np.stack([table[:, 0], table[:, 1] - table[:, 0], 1 - table[:, 1]], axis=1)
+        values, vectors = np.linalg.eig(q.T)
+        v = np.real(vectors[:, np.argmin(np.abs(values - 1))])
+        w = sim._class_weights(table)
+        np.testing.assert_allclose(w / w.sum(), v / v.sum(), rtol=1e-12)
+
+    @pytest.mark.parametrize("u", [0.0, 0.5, 1 - 2**-53])
+    def test_closed_classes(self, u):
+        # at lambda = 1e-17, M = 10**20, epsilon = 1 the table rounds Idle and
+        # Long closed and every tree weight to 0: the chain enters in Long,
+        # where theory puts it (pi_S = 1), with no 0 / 0.  With no traffic
+        # it enters in Idle
+        locked = sim.SimConfig(A.SystemParams(1e-17, 10**20, 1.0), sim.PoissonProcess(1e-17), 1)
+        assert sim._class_weights(locked._table).tolist() == [0.0, 0.0, 0.0]
+        idle = sim.SimConfig(A.SystemParams(0.0, 10), sim.PoissonProcess(0.0), 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sim._entry_class(locked._table, _Uniform(u)) == 2
+            assert sim._entry_class(idle._table, _Uniform(u)) == 0
+
+    def test_slow_mixing_mean_length_is_unbiased(self):
+        # at (0.05, 400), where the class chain relaxes over ~5e4 sessions, a
+        # chain that entered after a Single and dropped 1000 sessions read a
+        # mean session length of 123 over these seeds against the exact 400.1
+        params = A.SystemParams(0.05, 400, 0.1)
+        hats = [sim.run(sim.SimConfig(params, sim.PoissonProcess(0.05), 40_000, seed=seed))
+                .mean_session_length_hat for seed in range(200)]
+        exact = A.throughput_exact(params).mean_session_length
+        assert abs(np.mean(hats) - exact) < 4 * np.std(hats, ddof=1) / math.sqrt(len(hats))
 
 
 class TestRun:
@@ -225,13 +294,13 @@ class TestRun:
 
     @pytest.mark.parametrize("cfg, counts", [
         (sim.SimConfig(PARAMS_DEFAULT, sim.PoissonProcess(0.8), 20_000, seed=42),
-         ((1410, 182, 15146, 3262), 162225, 118528)),
+         ((867, 164, 15643, 3326), 166776, 122251)),
         (sim.SimConfig(PARAMS_DEFAULT, sim.FinitePopulation.from_traffic(0.8, 50),
                        20_000, seed=7),
-         ((596, 131, 17250, 2023), 157346, 131203)),
+         ((745, 147, 17120, 1988), 155949, 130246)),
         (sim.SimConfig(A.SystemParams(0.8, 4, 0.1), sim.PoissonProcess(0.8), 3000,
                        seed=11, success_rule=sim.PHY_COUPLED, snr_db=10.0),
-         ((1867, 309, 538, 286), 3771, 2013)),
+         ((1955, 304, 497, 244), 3379, 1877)),
     ], ids=["poisson", "finite", "phy"])
     def test_seeded_counts_are_pinned(self, cfg, counts):
         # seeded runs give the same integers on every commit, not only
@@ -296,7 +365,7 @@ class TestRun:
             table = sim._cdf_table(model, durations)
             counts = np.zeros((3, 6))
             for _ in range(2000):
-                k = sim._walk([table], 100, [rng])[0]
+                k = sim._walk([table], 100, [rng], [sim._entry_class(table, rng)])[0]
                 np.add.at(counts, (np.minimum(k[:-1], 2), np.minimum(k[1:], 5)), 1)
             p = np.array([_law_pmf(model, t, np.arange(6)) for t in durations])
             p[:, 5] = 1 - p[:, :5].sum(axis=1)
@@ -313,9 +382,8 @@ class TestRun:
         cfg = sim.SimConfig(PARAMS_DEFAULT, sim.PoissonProcess(0.8), n, seed=4)
         rep = sim.run(cfg)
         arr_ss, _ = np.random.SeedSequence(4).spawn(2)
-        k = sim._walk([sim._cdf_table(cfg.arrivals, PARAMS_DEFAULT.durations[:3])],
-                      cfg.warmup_sessions + n, [np.random.default_rng(arr_ss)])[0]
-        k = k[cfg.warmup_sessions:]
+        rng, table = np.random.default_rng(arr_ss), cfg._table
+        k = sim._walk([table], n, [rng], [sim._entry_class(table, rng)])[0]
         states = np.minimum(k, 2)
         states[k > PARAMS_DEFAULT.m_relays + 1] = 3
         delivered = np.where(states == 3, 0, k)
@@ -375,9 +443,8 @@ class TestRun:
                             success_rule=sim.PHY_COUPLED, snr_db=10.0)
         rep = sim.run(cfg)
         arr_ss, _ = np.random.SeedSequence(8).spawn(2)
-        k = sim._walk([sim._cdf_table(cfg.arrivals, params.durations[:3])],
-                      cfg.warmup_sessions + 5000, [np.random.default_rng(arr_ss)])[0]
-        k = k[cfg.warmup_sessions:]
+        rng, table = np.random.default_rng(arr_ss), cfg._table
+        k = sim._walk([table], 5000, [rng], [sim._entry_class(table, rng)])[0]
         lost = (k > params.m_relays + 1) | ((k >= 2) & (k % 2 == 0))
         assert rep.sessions_by_state[3] == np.count_nonzero(lost) > 0
         assert (rep.packets_lost, rep.packets_delivered) == (k[lost].sum(), k[~lost].sum())
