@@ -227,8 +227,9 @@ def _tree_weights(to_idle, to_single, to_long):
 def _stationary(rows):
     """The stationary (pi_0, pi_1, pi_S, pi_U), four operands, from the
     rows of :func:`_outcomes` by the tree theorem of :func:`solve_chain`."""
-    w = _tree_weights(*rows[:3])
-    w_success, w_outage = _expect(w, *rows[3:])  # Long's weight, split by what follows
+    to_idle, to_single, to_long, ps, pu = rows
+    w = _tree_weights(to_idle, to_single, to_long)
+    w_success, w_outage = _expect(w, ps, pu)  # Long's weight, split by what follows
     total = w[0] + w[1] + w_success + w_outage
     return [x / total for x in (w[0], w[1], w_success, w_outage)]
 

@@ -300,27 +300,24 @@ def _walk(tables: list[np.ndarray], n_sessions: int, rngs: list[np.random.Genera
     return k.transpose(0, 2, 1).reshape(chains, size * n_blocks)[:, :n_sessions]
 
 
-def _class_weights(table: np.ndarray) -> np.ndarray:
-    """The stationary law of the (Idle, Single, Long) class chain that the
-    CDF ``table`` drives, up to its sum: the tree weights of
-    :func:`rara.analytic._tree_weights` for the next-class rows read off the
-    table, Q_c = (F_c(0), F_c(1) - F_c(0), 1 - F_c(1)).  The table is the
-    input, so one code covers every arrival law."""
-    f0, f1 = table[:, 0], table[:, 1]
-    return np.array(_tree_weights(f0, f1 - f0, 1.0 - f1))
-
-
 def _entry_class(table: np.ndarray, rng: np.random.Generator) -> int:
-    """The class of the session before a chain's first, drawn from
-    :func:`_class_weights` w by one uniform u of ``rng``: the number of
-    w_0 and w_0 + w_1 at or below u (w_0 + w_1 + w_2), as K is drawn from
-    a table row.  The uniform is scaled by the sum rather than the weights
-    divided by it, so where every weight rounds to 0 there is no 0 / 0: the
-    class is then Long.  That is where Idle and Long are both closed in the
+    """The class (0 Idle, 1 Single, 2 Long) of the session before a chain's
+    first, drawn by one uniform u of ``rng`` from the stationary law of the
+    class chain that the CDF ``table`` drives.  The chain's next-class rows
+    are read off the table, Q_c = (F_c(0), F_c(1) - F_c(0), 1 - F_c(1)), so
+    one code covers every arrival law, and the law is proportional to their
+    spanning-tree weights w (:func:`rara.analytic._tree_weights`).  The
+    class is the number of w_0 and w_0 + w_1 at or below u (w_0 + w_1 +
+    w_2): the uniform is scaled by the sum rather than the weights divided
+    by it, so where every weight rounds to 0 there is no 0 / 0 and the
+    class is Long.  That is where Idle and Long are both closed in the
     rounded table, as at lambda = 1e-17, M = 10**20, epsilon = 1, where
-    theory's pi_S is 1."""
-    w = _class_weights(table)
-    return int(np.searchsorted(np.cumsum(w)[:2], rng.random() * w.sum(), side="right"))
+    theory's pi_S is 1.  The weights are Python floats: a few numpy calls
+    on 3-vectors cost more than the arithmetic."""
+    f0, f1 = table[:, :2].T.tolist()
+    w = _tree_weights(f0, [b - a for a, b in zip(f0, f1)], [1.0 - b for b in f1])
+    x = rng.random() * (w[0] + w[1] + w[2])
+    return (x >= w[0]) + (x >= w[0] + w[1])
 
 
 def run(config: SimConfig) -> SimReport:
