@@ -9,16 +9,18 @@ Arrivals over a session are Poisson, so the session-state sequence forms a
 Two broadcast kernels cover a whole (lambda, M, epsilon) grid in one call:
 :func:`solve_chain` solves the chain exactly (stationary distribution,
 throughput, outage, both means), and :func:`gaussian_approx` evaluates the
-large-M Gaussian approximation of throughput and outage.  Every exact
-metric is a reward row r_c over the lumped classes c = (Idle, Single, Long)
-reduced by one rule, sum_c v_c r_c (:func:`_expect`).  The single-point
-functions (``throughput_exact``, ``outage_exact``, ``transition_matrix``,
-...) run the same kernel: the Poisson tails are taken on the (3,) array of
-class means, and the algebra after them on Python floats, whose + - * /
-are the IEEE operations of numpy float64 at a third of the cost.  Every
-operation is elementwise, so a grid point and a direct call give the same
-bits.  The Gaussian approximation keeps numpy float64 scalars at a point,
-so lambda = 0 divides to inf under ``errstate`` as it does on a grid.
+large-M Gaussian approximation of throughput and outage.  The chain lumps
+to the classes c = (Idle, Single, Long), and its one normalization is the
+stationary law v of those three classes (:func:`_stationary`).  Every
+exact output is a reward row r_c reduced by one rule, sum_c v_c r_c
+(:func:`_expect`): pi_S and pi_U are the Success and outage rows, so the
+outage is pi_U itself.  The single-point functions (``throughput_exact``,
+``outage_exact``, ``transition_matrix``, ...) run the same kernel: the
+Poisson tails are taken on the (3,) array of class means, and the algebra
+after them on Python floats, whose + - * / are the IEEE operations of
+numpy float64 at a third of the cost.  Every operation is elementwise, so
+a grid point and a direct call give the same bits.  The Gaussian
+approximation at a point is :func:`gaussian_approx` on a one-point grid.
 :func:`stationary_power_iteration` is the independent cross-check of the
 closed form.
 """
@@ -164,19 +166,28 @@ def _outcomes(lam, m, eps):
     arrivals X of mean mu_c = lambda T_c: mu, then the next-class rows
     P(X=0), P(X=1) and P(X>=2), and the rows P(2<=X<=M+1) (Success) and
     P(X>=M+2) (outage) that split Long.  Each row has the class axis first;
-    tails come from pdtrc, so they keep relative precision."""
+    at a point (``lam`` a Python float from :func:`_point`) each is a list
+    of Python floats, one per class, so the algebra after the tails is one
+    code for a point and a grid.  Tails come from pdtr and pdtrc, so they
+    keep relative precision.  So does the Success row, taken as
+    P(X<=M+1) P(X>=2) - P(X>=M+2) P(X<=1) rather than as the difference of
+    the two upper tails, which keeps no digit once both are near 1: the
+    term it subtracts is at most 0.34 of the first (at M = 1, less at
+    larger M), so the difference loses under a bit."""
     mu = np.array([lam * t for t in _lengths(m, eps)])
     # float counts: pdtr and pdtrc have only float loops, so an int k is cast per call
     p0 = special.pdtr(0.0, mu)
-    long = special.pdtrc(1.0, mu)
-    pu = special.pdtrc(m + 1.0, mu)
-    return mu, (p0, mu * p0, long, np.maximum(long - pu, 0.0), pu)
+    p0, p1, long, low, pu = _point_rows(lam, p0, mu * p0, special.pdtrc(1.0, mu),
+                                        special.pdtr(m + 1.0, mu), special.pdtrc(m + 1.0, mu))
+    # class by class: on Python floats at a point, where numpy calls on
+    # 3-vectors would cost more than the arithmetic
+    ps = [lo * g - u * (a + b) for a, b, g, lo, u in zip(p0, p1, long, low, pu)]
+    return mu, (p0, p1, long, ps, pu)
 
 
 def _point_rows(lam, *rows):
     """``rows`` as they are on a grid or, at a point (``lam`` a Python
-    float from :func:`_point`), each as a list of Python floats, one per
-    class: the algebra after the tails is then one code for both."""
+    float), each as a list of Python floats, one per class."""
     return [*map(np.ndarray.tolist, rows)] if isinstance(lam, float) else rows
 
 
@@ -196,13 +207,14 @@ def solve_chain(lam, m_relays, epsilon=DEFAULT_EPSILON) -> ChainSolution:
     (Idle, Single, Long).  By the Markov chain tree theorem the stationary
     weight of each lumped state is the sum, over the spanning trees directed
     into it, of the product of their transition probabilities; every term
-    is a product of non-negative entries, so no weight cancels.  Every
-    metric is then a reward row r_c over the lumped classes c, reduced as
-    sum_c v_c r_c: with the tree weights, P(Success) and P(Outage) split
-    Long into Success and Unsuccess; with the stationary lumped v, the
-    lengths T_c give the mean session length, the decoded means the mean
-    success count and P(Outage) the outage.  All arithmetic is elementwise,
-    so a grid point gives the same bits whatever grid it is solved in.
+    is a product of non-negative entries, so no weight cancels.  The
+    weights normalized once give the lumped stationary law v, and every
+    output is then a reward row r_c over the lumped classes c, reduced as
+    sum_c v_c r_c: the lengths T_c give the mean session length, the
+    decoded means the mean success count, and the Success and outage rows
+    give pi_S and pi_U, which split Long.  The outage is pi_U, bit for bit.
+    All arithmetic is elementwise, so a grid point gives the same bits
+    whatever grid it is solved in.
     """
     pi, *metrics = _metrics(*check_grid(lam, m_relays, epsilon))
     pi = np.array(pi)  # leading axis last: np.moveaxis's view, at a fraction of its cost
@@ -225,26 +237,28 @@ def _tree_weights(to_idle, to_single, to_long):
 
 
 def _stationary(rows):
-    """The stationary (pi_0, pi_1, pi_S, pi_U), four operands, from the
-    rows of :func:`_outcomes` by the tree theorem of :func:`solve_chain`."""
-    to_idle, to_single, to_long, ps, pu = rows
+    """The stationary law v = w / (w_0 + w_1 + w_2) of the lumped classes
+    (Idle, Single, Long), three operands, from the rows of
+    :func:`_outcomes` and the tree weights w of :func:`_tree_weights`.  It
+    is the kernel's only normalization: pi_S and pi_U are the Success and
+    outage rows reduced with it."""
+    to_idle, to_single, to_long, _, _ = rows
     w = _tree_weights(to_idle, to_single, to_long)
-    w_success, w_outage = _expect(w, ps, pu)  # Long's weight, split by what follows
-    total = w[0] + w[1] + w_success + w_outage
-    return [x / total for x in (w[0], w[1], w_success, w_outage)]
+    total = w[0] + w[1] + w[2]
+    return [x / total for x in w]
 
 
 def _metrics(lam, m, eps):
     """pi, then the throughput, outage, mean session length and mean
     success count, in ChainSolution's field order.  The stationary lumped
     v weighs the lengths T_c, the packets each class decodes, sum_{k<=M+1}
-    k P(X=k) = mu_c P(X<=M), and P(X>=M+2)."""
+    k P(X=k) = mu_c P(X<=M), and the Success and outage rows, which give
+    pi_S and pi_U; the outage is pi_U."""
     mu, rows = _outcomes(lam, m, eps)
-    *rows, decoded = _point_rows(lam, *rows, mu * special.pdtr(m, mu))
-    pi = _stationary(rows)
-    t_bar, k_bar, outage = _expect((pi[0], pi[1], pi[2] + pi[3]),
-                                   _lengths(m, eps), decoded, rows[-1])
-    return pi, k_bar / t_bar, outage, t_bar, k_bar
+    decoded, = _point_rows(lam, mu * special.pdtr(m, mu))
+    v = _stationary(rows)
+    t_bar, k_bar, pi_s, pi_u = _expect(v, _lengths(m, eps), decoded, *rows[3:])
+    return (v[0], v[1], pi_s, pi_u), k_bar / t_bar, pi_u, t_bar, k_bar
 
 
 def transition_matrix(params: SystemParams) -> np.ndarray:
@@ -254,7 +268,7 @@ def transition_matrix(params: SystemParams) -> np.ndarray:
     Unsuccess rows (both of length M+1) are identical.
     """
     _, (p0, p1, _, ps, pu) = _outcomes(*_point(params))
-    return np.array([p0, p1, ps, pu]).T.take([0, 1, 2, 2], axis=0)
+    return np.array([[p0[c], p1[c], ps[c], pu[c]] for c in (0, 1, 2, 2)])
 
 
 def _row_sums(a: np.ndarray) -> np.ndarray:
@@ -304,14 +318,15 @@ def stationary_closed_form(params: SystemParams) -> StationaryDistribution:
     absorbed in Idle and pi = (1, 0, 0, 0).
     """
     method = "degenerate" if params.lam == 0 else "closed_form"
-    lam, m, eps = _point(params)
-    pi = _stationary(_point_rows(lam, *_outcomes(lam, m, eps)[1]))
-    return StationaryDistribution(np.array(pi), method=method)
+    rows = _outcomes(*_point(params))[1]
+    v = _stationary(rows)
+    return StationaryDistribution(np.array(v[:2] + _expect(v, *rows[3:])), method=method)
 
 
 def outage_exact(params: SystemParams) -> float:
     """Probability of a session with >= M+2 contenders (undecodable even with
-    all M relay forwards), from the pdtrc tail after each state."""
+    all M relay forwards): pi_U of :func:`stationary_closed_form`, bit for
+    bit."""
     return _metrics(*_point(params))[2]
 
 
@@ -329,10 +344,6 @@ def gaussian_approx(lam, m_relays) -> tuple[np.ndarray, np.ndarray]:
     lambda), the normalized deviation of the decodable-count threshold, and
     throughput lambda (1 - q).  At lambda = 0, psi = +inf and both are 0."""
     lam, m, _ = check_grid(lam, m_relays)
-    return _gaussian(lam, m)
-
-
-def _gaussian(lam, m):
     # at lambda = 0 (or so small that it overflows), M / lambda = inf makes
     # psi = +inf, so q is 0 and lam (1 - q) is lambda
     with np.errstate(divide="ignore", over="ignore"):
@@ -341,20 +352,14 @@ def _gaussian(lam, m):
     return lam * (1.0 - q), q
 
 
-def _gaussian_point(params: SystemParams):
-    # numpy scalars, not Python floats: they follow errstate, so lambda = 0
-    # divides to inf in _gaussian as it does on a grid
-    return _gaussian(np.float64(params.lam), np.float64(params.m_relays))
-
-
 def throughput_approx(params: SystemParams) -> float:
     """Large-M Gaussian approximation of the throughput at one point."""
-    return float(_gaussian_point(params)[0])
+    return float(gaussian_approx(params.lam, params.m_relays)[0])
 
 
 def outage_approx(params: SystemParams) -> float:
     """Large-M Gaussian approximation of the outage probability at one point."""
-    return float(_gaussian_point(params)[1])
+    return float(gaussian_approx(params.lam, params.m_relays)[1])
 
 
 def asymptotic_throughput(lam):

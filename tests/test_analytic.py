@@ -215,6 +215,20 @@ class TestStationary:
 
 
 class TestSolveChain:
+    def test_outage_is_pi_u(self):
+        # one stationary law: the outage is pi_U, not a second reduction of
+        # it, on the benchmark's grid of six theory tables
+        lam = np.arange(1, 41)[:, None, None] * 0.05
+        m = np.r_[1:51, 100, 200, 400, 800, 1600, 3200][:, None]
+        sol = A.solve_chain(lam, m, np.array([0.05, 0.1, 0.5]))
+        assert sol.outage.shape == (40, 56, 3)
+        assert sol.outage.tobytes() == np.ascontiguousarray(sol.pi[..., 3]).tobytes()
+
+    @given(params_st)
+    @settings(max_examples=100, deadline=None)
+    def test_point_outage_is_pi_u(self, params):
+        assert A.outage_exact(params) == A.stationary_closed_form(params).pi[3]
+
     def test_broadcast_grid_matches_single_points(self):
         def largest_lambda(m):  # the largest lambda with lambda*(M+1) finite
             lam = sys.float_info.max / (m + 1)
@@ -383,6 +397,20 @@ class TestOutageAndThroughput:
                            for k in range(1, params.m_relays + 2))
         assert value >= 0
         assert value == pytest.approx(moment, rel=1e-10)
+
+    @pytest.mark.parametrize("lam", [1.4, 1.55, 1.7, 1.85])
+    def test_success_row_at_high_load(self, lam):
+        # P(2 <= X <= M+1) at mu = lambda (M+1) well above M: P(X >= 2) and
+        # P(X >= M+2) are both near 1, and their difference keeps no digit
+        params = A.SystemParams(lam, 400, 0.1)
+        rows = [math.fsum(math.exp(_log_pmf(k, lam * t)) for k in range(2, 402))
+                for t in params.durations[:3]]
+        assert A.transition_matrix(params)[2, 2] == pytest.approx(rows[2], rel=1e-9, abs=0)
+        # pi_S is the Success row reduced with the lumped law, whose Idle and
+        # Single parts are tested against the power iteration elsewhere
+        pi = A.stationary_closed_form(params).pi
+        oracle = math.fsum(v * r for v, r in zip((pi[0], pi[1], 1.0 - pi[0] - pi[1]), rows))
+        assert pi[2] == pytest.approx(oracle, rel=1e-9, abs=0)
 
     @pytest.mark.parametrize("lam, m, expected", [
         (0.05, 40, 5.6822e-44),

@@ -181,6 +181,18 @@ class TestTheoryMode:
         assert rows[1]["u_discontinuity"] == "1"
         assert float(rows[1]["asymptotic_throughput"]) == 0.5
 
+    @pytest.mark.parametrize("eps", ["0.05", "0.1", "0.5"])
+    def test_outage_is_pi_u(self, tmp_path, eps):
+        # the outage column is pi_U, the same text on every row of the
+        # benchmark's six tables
+        for m_grid, n_rows in (("1:50:1", 2000), ("100,200,400,800,1600,3200", 240)):
+            out = tmp_path / "o.csv"
+            assert cli.main(["theory", "--lambda", "0.05:2.0:0.05", "--m", m_grid,
+                             "--epsilon", eps, "--out", str(out)]) == 0
+            rows = read_csv(out)
+            assert len(rows) == n_rows
+            assert [r["outage_exact"] for r in rows] == [r["pi_U"] for r in rows]
+
     def test_round_trippable_floats(self, tmp_path):
         # the grid is solved in one kernel call; each row must still carry
         # the exact bits of a direct single-point evaluation

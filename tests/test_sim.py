@@ -316,6 +316,13 @@ class TestRun:
         assert [repr(rep) for rep in sim._run_group(configs[::-1])] == alone[::-1]
         assert [repr(rep) for rep in sim._run_group(configs[:3])] == alone[:3]
 
+    def test_group_refuses_mixed_session_counts(self):
+        # one walk gives every chain of a group the same number of sessions
+        configs = [sim.SimConfig(PARAMS_DEFAULT, sim.PoissonProcess(0.8), n, seed=1)
+                   for n in (100, 100, 101)]
+        with pytest.raises(ValueError, match="one session count"):
+            sim._run_group(configs)
+
     def test_determinism(self):
         cfg = sim.SimConfig(PARAMS_DEFAULT, sim.PoissonProcess(0.8), 20_000, seed=42)
         assert sim.run(cfg) == sim.run(cfg)

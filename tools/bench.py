@@ -12,12 +12,15 @@ workload and side the file holds the median and quartiles of each
 end-to-end metric, the number of runs and of samples behind them, each
 run's provenance line, and how many runs reported ``correct`` false or did
 not finish; with a parent, also how much worse the change's median is than
-the parent's.  Standard library only.
+the parent's.  Each side is identified by a sha256 over the files under
+``src/`` and ``perfbench/`` and by ``git describe --always --dirty``.
+Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import statistics
 import subprocess
@@ -27,6 +30,39 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 # seeds no change was tuned on; a change tuned on them replaces them and says so
 SEEDS = tuple(range(2101, 2111))
+
+
+def _tree_hash(root: Path) -> str:
+    """sha256 over the relative path, the size and the bytes of every file
+    under ``src/`` and ``perfbench/``, in path order, skipping
+    ``__pycache__/`` and ``perfbench/out/``: what a run builds from, not
+    what it leaves behind."""
+    files = {}
+    for top in ("src", "perfbench"):
+        for path in (root / top).rglob("*"):
+            rel = path.relative_to(root)
+            if path.is_file() and "__pycache__" not in rel.parts \
+                    and rel.parts[:2] != ("perfbench", "out"):
+                files[rel.as_posix()] = path
+    digest = hashlib.sha256()
+    for rel in sorted(files):
+        data = files[rel].read_bytes()
+        digest.update(f"{rel}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
+
+
+def _describe(root: Path):
+    """``git describe --always --dirty`` of a checkout with its own
+    ``.git``, or None (no repository there, or no git)."""
+    if not (root / ".git").exists():
+        return None
+    try:
+        proc = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=root,
+                              capture_output=True, text=True)
+    except OSError:
+        return None
+    return proc.stdout.strip() if proc.returncode == 0 else None
 
 
 def _run(root: Path, command: list[str], workload: str, seed: int, seconds: int) -> dict:
@@ -103,8 +139,13 @@ def main(argv=None) -> int:
             parser.error(f"no perfbench/run.py under {args.parent}")
         sides["parent"] = args.parent.resolve()
 
-    report = {"command": bench["command"], "run_seconds": bench["run_seconds"],
+    report = {"note": "medians compare only within one file: its sides ran on one "
+                      "machine in alternating pairs, while two files may differ in "
+                      "machine, load and software",
+              "command": bench["command"], "run_seconds": bench["run_seconds"],
               "trace": 0, "seeds": list(SEEDS), "quartiles": "statistics.quantiles, inclusive",
+              "sides": {side: {"tree_sha256": _tree_hash(root), "git_describe": _describe(root)}
+                        for side, root in sides.items()},
               "workloads": {}}
     for workload in (w["name"] for w in bench["workloads"]):
         runs, first = {side: [] for side in sides}, []
