@@ -129,7 +129,8 @@ def parse_grid(text, kind=float) -> tuple:
         parts = text.split(":")
         if len(parts) != 3:
             raise ValueError(f"range must be start:stop:step, got {text!r}")
-        start, stop, step = (float(p) for p in parts)
+        # read as kind, so the bounds of an int range stay exact past 2**53
+        start, stop, step = (_as_kind(p, kind) for p in parts)
         if not all(map(math.isfinite, (start, stop, step))):
             raise ValueError(f"range bounds and step must be finite, got {text!r}")
         if step <= 0:
@@ -229,26 +230,33 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _map_rows(fn, grid: list, seeds: list, cost) -> list:
-    """``[fn(cell, seed) for cell, seed in zip(grid, seeds)]``, the calls
-    spread over one thread per CPU, at most one per cell; :func:`build_rows`
-    passes groups of table rows as cells, with their seeds.  Cells are
-    handed to the pool heaviest first by ``cost(cell)`` (Graham's longest-
-    processing-time rule; a stable sort, so cells of equal cost keep grid
-    order), so the costliest cells do not start last.  Results come back in
-    grid order, so the list does not depend on the thread count or the
-    dispatch order; the first cell to raise, in grid order, raises here, and
-    the cells not yet started are cancelled."""
-    order = sorted(range(len(grid)), key=lambda i: cost(grid[i]), reverse=True)
-    with ThreadPoolExecutor(max(1, min(_cpus(), len(grid)))) as pool:
-        futures = [None] * len(grid)
+def _map_rows(fn, tasks: list, costs: list) -> list:
+    """``[fn(*task) for task in tasks]``, the calls spread over one thread per
+    CPU, at most one per task; :func:`build_rows` passes the arguments of phy
+    rows, or groups of simulated rows, as tasks.  Tasks are handed to the
+    pool heaviest first by ``costs`` (Graham's longest-processing-time rule;
+    a stable sort, so tasks of equal cost keep task order), so the costliest
+    tasks do not start last.  Results come back in task order, so the list
+    does not depend on the thread count or the dispatch order; the first
+    task to raise, in task order, raises here, and the tasks not yet started
+    are cancelled."""
+    order = sorted(range(len(tasks)), key=costs.__getitem__, reverse=True)
+    with ThreadPoolExecutor(max(1, min(_cpus(), len(tasks)))) as pool:
+        futures = [None] * len(tasks)
         for i in order:
-            futures[i] = pool.submit(fn, grid[i], seeds[i])
+            futures[i] = pool.submit(fn, *tasks[i])
         try:
             return [future.result() for future in futures]
         finally:
             for future in futures:
                 future.cancel()
+
+
+def _walk_rows(*rows) -> list:
+    """The reports of one group of simulated rows, each given as the
+    ``(lambda, M, epsilon, sessions, seed)`` of its :func:`_point`, walked
+    together."""
+    return sim._run_group([_point(*row) for row in rows])
 
 
 def build_rows(spec: ExperimentSpec) -> tuple[list[str], list[tuple]]:
@@ -257,56 +265,46 @@ def build_rows(spec: ExperimentSpec) -> tuple[list[str], list[tuple]]:
 
     The table is one ordered mapping of column name to column, turned into
     rows by :func:`_table`.  Each phy or simulated row draws from its own
-    seed of ``sim.derive_seeds``, so the rows are evaluated concurrently, on
-    as many threads as the process has CPUs; the output does not depend on
-    the thread count.  A phy row is one task of the pool.  Simulated rows
-    are handed to it in groups of consecutive rows whose sessions fit
-    ``sim._WALK_BUDGET`` (a larger row is a group of its own), and a group
-    is walked together: a second thread barely helps
-    walks of a few 10**4 sessions (30 took 22.6 ms one after another and
-    22.0 ms on two threads of a 2-core host), so a group saves Python steps
-    instead.  Threads help phy rows only when they are large: two rows at
-    (K, M) = (2, 2) took 9.5 ms one after another and 12.2 ms on two
-    threads, and at (9, 8) two threads were 1.86 times faster.  A row's
+    seed of ``sim.derive_seeds``, so the rows are evaluated concurrently by
+    :func:`_map_rows`, on as many threads as the process has CPUs; the
+    output does not depend on the thread count.  A phy row is one task.
+    Simulated rows are tasks in groups of consecutive rows whose sessions
+    fit ``sim._WALK_BUDGET`` (a larger row is a group of its own), and a
+    group is walked together, which saves Python steps where a second
+    thread barely helps: 30 rows of 40 000 sessions, ten groups of three,
+    took 45-46 ms on one thread and 44-45 ms on two of a 2-core host
+    (medians of 40 interleaved runs).  So the pool serves simulated rows
+    for the rows that walk alone: the 30 rows of 10**6 sessions of
+    ``scripts/throughput_vs_relays.py`` took 0.85-0.92 s on one thread and
+    0.57 s on two.  Threads help phy rows only when they are large: two
+    rows at (K, M) = (2, 2) took 9.5 ms one after another and 12.2 ms on
+    two threads, and at (9, 8) two threads were 1.86 times faster.  A row's
     report is the same in any group, so the output does not depend on the
     grouping either.
     """
     if spec.mode == "phy":
-        grid = [(k, m) for m in spec.m_grid for k in range(1, m + 2)]
-        columns = dict(zip(("k", "m"), zip(*grid)))
-        per_group = 1
-
-        def evaluate(cells, seeds):
-            return [mpr.symbol_error_rate(*cell, spec.snr_db, spec.n_sessions, seed)
-                    for cell, seed in zip(cells, seeds)]
-
-        def cost(cells):  # matrix entries K(M+1) per trial
-            return sum(k * (m + 1) for k, m in cells)
-    else:
-        grid = [(lam, m) for lam in spec.lambda_grid for m in spec.m_grid]
-        columns = _theory_columns(*(np.array(v) for v in zip(*grid)), spec.epsilon)
-        per_group = max(1, sim._WALK_BUDGET // spec.n_sessions)
-
-        def evaluate(cells, seeds):
-            return sim._run_group([_point(*cell, spec.epsilon, spec.n_sessions, seed)
-                                   for cell, seed in zip(cells, seeds)])
-
-        def cost(cells):  # every row walks the same number of sessions
-            return len(cells)
+        cells = [(k, m) for m in spec.m_grid for k in range(1, m + 2)]
+        seeds = sim.derive_seeds(spec.seed, len(cells))
+        tasks = [(k, m, spec.snr_db, spec.n_sessions, seed)
+                 for (k, m), seed in zip(cells, seeds)]
+        # matrix entries K(M+1) per trial
+        ser = _map_rows(mpr.symbol_error_rate, tasks, [k * (m + 1) for k, m in cells])
+        k, m, snr_db, trials, seed = zip(*tasks)
+        return _table(dict(k=k, m=m, snr_db=snr_db, ser=ser, trials=trials, seed=seed))
+    grid = [(lam, m) for lam in spec.lambda_grid for m in spec.m_grid]
+    columns = _theory_columns(*(np.array(v) for v in zip(*grid)), spec.epsilon)
     if spec.mode == "theory":
         return _table(columns)
     seeds = sim.derive_seeds(spec.seed, len(grid))
-    groups = [slice(i, i + per_group) for i in range(0, len(grid), per_group)]
-    results = [result for results in _map_rows(evaluate, [grid[g] for g in groups],
-                                                [seeds[g] for g in groups], cost)
-               for result in results]
-    runs = [spec.n_sessions] * len(grid)
-    if spec.mode == "phy":
-        columns.update(snr_db=[spec.snr_db] * len(grid), ser=results, trials=runs, seed=seeds)
-        return _table(columns)
-    hats = np.array([[rep.throughput_hat, rep.outage_hat] for rep in results]).T
-    columns.update(throughput_hat=hats[0], stderr=[rep.stderr_throughput for rep in results],
-                   outage_hat=hats[1], sessions=runs, seed=seeds)
+    rows = [(lam, m, spec.epsilon, spec.n_sessions, seed) for (lam, m), seed in zip(grid, seeds)]
+    per_group = max(1, sim._WALK_BUDGET // spec.n_sessions)
+    groups = [rows[i:i + per_group] for i in range(0, len(rows), per_group)]
+    # every row walks the same number of sessions
+    reports = [report for group in _map_rows(_walk_rows, groups, list(map(len, groups)))
+               for report in group]
+    hats = np.array([[rep.throughput_hat, rep.outage_hat] for rep in reports]).T
+    columns.update(throughput_hat=hats[0], stderr=[rep.stderr_throughput for rep in reports],
+                   outage_hat=hats[1], sessions=[spec.n_sessions] * len(grid), seed=seeds)
     if spec.mode == "compare":
         columns["abs_err_throughput"], columns["abs_err_outage"] = np.abs(
             hats - [columns["throughput_exact"], columns["outage_exact"]])

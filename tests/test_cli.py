@@ -5,7 +5,9 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -85,6 +87,22 @@ class TestParseGrid:
             cli.parse_grid("0:1e-12:1e-13")
         assert cli.parse_grid("0:1e-11:1e-12") == tuple(i * 1e-12 for i in range(11))
 
+
+    def test_integer_range_is_exact(self, tmp_path):
+        # an int range is read as ints: through floats these bounds past 2**53
+        # gave one value, 2**53 itself, and a refusal as repeated values
+        big = 10**20
+        assert cli.parse_grid(f"{big + 1}:{big + 3}:1", int) == (big + 1, big + 2, big + 3)
+        assert cli.parse_grid("9007199254740993:9007199254740993:1", int) == (2**53 + 1,)
+        grid = cli.parse_grid("9007199254740993:9007199254740995:1", int)
+        assert grid == (2**53 + 1, 2**53 + 2, 2**53 + 3)
+        assert all(type(m) is int for m in grid)
+        with pytest.raises(ValueError, match="values must be integers, got inf"):
+            cli.parse_grid("1:inf:1", int)
+        out = tmp_path / "big.csv"
+        assert cli.main(["theory", "--lambda", "0.8", "--m", f"{big + 1}:{big + 3}:1",
+                         "--out", str(out)]) == 0
+        assert [int(row["m"]) for row in read_csv(out)] == [big + 1, big + 2, big + 3]
 
 class TestValidateSpec:
     def base(self, **overrides):
@@ -362,6 +380,75 @@ class TestConcurrentRows:
             cli.main(args + ["--out", str(tmp_path / "out.csv")])
         assert list(tmp_path.iterdir()) == []
 
+
+class TestMapRows:
+    """The row pool's contract on made-up tasks, with one worker and four,
+    and the CPU count that sizes it."""
+
+    @pytest.fixture(params=[1, 4], ids=["one-worker", "four-workers"])
+    def workers(self, request, monkeypatch):
+        monkeypatch.setattr(cli, "_cpus", lambda: request.param)
+        return request.param
+
+    def test_results_in_task_order(self, workers):
+        tasks = [(i, 10 * i) for i in range(7)]
+        costs = [3, 1, 4, 1, 5, 9, 2]
+        assert cli._map_rows(lambda a, b: a + b, tasks, costs) == [11 * i for i in range(7)]
+
+    def test_one_worker_dispatches_heaviest_first(self, monkeypatch):
+        # one thread enters the tasks in the order they are handed to the pool
+        monkeypatch.setattr(cli, "_cpus", lambda: 1)
+        entered = []
+        costs = [1, 3, 2, 3, 1, 2]
+        assert cli._map_rows(entered.append, [(i,) for i in range(6)], costs) == [None] * 6
+        assert entered == [1, 3, 2, 5, 0, 4]
+
+    def test_first_failure_in_task_order_raises(self, workers):
+        # task 2 is dispatched first and task 0 last; task 0's error is raised
+        def task(i):
+            if i in (0, 2):
+                raise RuntimeError(f"task {i}")
+            return i
+
+        with pytest.raises(RuntimeError, match="task 0"):
+            cli._map_rows(task, [(i,) for i in range(4)], [1, 2, 3, 2])
+
+    def test_unstarted_task_never_runs(self, workers, monkeypatch):
+        # task 0 fails once every task is submitted, and tasks 1..workers
+        # return only once the last task is cancelled: every thread is then
+        # busy until the cancellation, so the last task cannot start
+        # however the threads are scheduled
+        n = workers + 2
+        futures, ran, submitted = [], [], threading.Event()
+
+        class Pool(ThreadPoolExecutor):
+            def submit(self, *args):
+                futures.append(super().submit(*args))
+                if len(futures) == n:
+                    submitted.set()
+                return futures[-1]
+
+        def task(i):
+            ran.append(i)
+            submitted.wait()
+            if i == 0:
+                raise RuntimeError("task 0")
+            cancelled = threading.Event()
+            futures[-1].add_done_callback(lambda future: cancelled.set())
+            cancelled.wait(10)  # bounds a hang where nothing cancels it
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", Pool)
+        with pytest.raises(RuntimeError, match="task 0"):
+            cli._map_rows(task, [(i,) for i in range(n)], [n - i for i in range(n)])
+        assert futures[-1].cancelled()
+        assert n - 1 not in ran
+
+    def test_cpus_without_affinity_call(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert cli._cpus() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert cli._cpus() == 1
 
 class TestJsonFormat:
     def test_mirrors_csv_schema(self, tmp_path):
