@@ -32,7 +32,7 @@ import os
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import make_dataclass
 
 import numpy as np
 
@@ -86,17 +86,11 @@ class SpecValidationError(ValueError):
         super().__init__("; ".join(problems))
 
 
-@dataclass(frozen=True)
-class ExperimentSpec:
-    mode: str
-    lambda_grid: tuple[float, ...]
-    m_grid: tuple[int, ...]
-    epsilon: float
-    n_sessions: int
-    seed: int
-    snr_db: float | None
-    output_path: str
-    format: str
+# A checked spec: its mode, then one field per FIELDS key in that order, so a
+# setting is declared once.  Python < 3.12 would give the class the module
+# ``types``, which pickle cannot find it in.
+ExperimentSpec = make_dataclass("ExperimentSpec", ["mode", *FIELDS], frozen=True,
+                                namespace={"__module__": __name__})
 
 
 def _as_kind(value, kind):
@@ -129,14 +123,17 @@ def parse_grid(text, kind=float) -> tuple:
         parts = text.split(":")
         if len(parts) != 3:
             raise ValueError(f"range must be start:stop:step, got {text!r}")
-        # read as kind, so the bounds of an int range stay exact past 2**53
+        # read as kind, so the bounds of an int range stay exact past 2**53; an int
+        # is finite, and one past the float range is left to the field's rule
         start, stop, step = (_as_kind(p, kind) for p in parts)
-        if not all(map(math.isfinite, (start, stop, step))):
+        if kind is float and not all(map(math.isfinite, (start, stop, step))):
             raise ValueError(f"range bounds and step must be finite, got {text!r}")
         if step <= 0:
             raise ValueError(f"range step must be > 0, got {step}")
-        # counted before any value is built, so a huge range costs no memory
-        count = math.floor((stop - start) / step + 1e-9) + 1
+        # counted before any value is built, so a huge range costs no memory; an int
+        # range in integers, where a float count's slack would add a value past stop
+        count = (stop - start) // step + 1 if kind is int \
+            else math.floor((stop - start) / step + 1e-9) + 1
         if count > MAX_RANGE_VALUES:
             raise ValueError(f"range {text!r} has more than {MAX_RANGE_VALUES} values")
         # each value from its index, so float error does not accumulate
@@ -270,13 +267,16 @@ def build_rows(spec: ExperimentSpec) -> tuple[list[str], list[tuple]]:
     output does not depend on the thread count.  A phy row is one task.
     Simulated rows are tasks in groups of consecutive rows whose sessions
     fit ``sim._WALK_BUDGET`` (a larger row is a group of its own), and a
-    group is walked together, which saves Python steps where a second
-    thread barely helps: 30 rows of 40 000 sessions, ten groups of three,
-    took 45-46 ms on one thread and 44-45 ms on two of a 2-core host
-    (medians of 40 interleaved runs).  So the pool serves simulated rows
-    for the rows that walk alone: the 30 rows of 10**6 sessions of
-    ``scripts/throughput_vs_relays.py`` took 0.85-0.92 s on one thread and
-    0.57 s on two.  Threads help phy rows only when they are large: two
+    group is walked together, which saves Python steps.  On a 2-core host
+    the pool pays on grouped rows too, at a cost in memory and CPU: the
+    ``sim_threshold`` benchmark (30 rows of 40 000 sessions, ten groups of
+    three) read 0.060 s against 0.066 s with the groups walked on the
+    calling thread, faster in 10 of 10 alternating pairs, but with 67.2 MB
+    against 62.0 MB peak RSS, and in process the run took 65 ms of CPU
+    against 53 ms.  A group's walk is many small numpy calls, each of which
+    hands the GIL over, so the pool pays more on rows that walk alone: six
+    rows of 10**6 sessions took 0.20 s on one thread and 0.16 s on two.
+    Threads help phy rows only when they are large: two
     rows at (K, M) = (2, 2) took 9.5 ms one after another and 12.2 ms on
     two threads, and at (9, 8) two threads were 1.86 times faster.  A row's
     report is the same in any group, so the output does not depend on the
@@ -399,7 +399,3 @@ def main(argv=None) -> int:
         print(f"error: cannot write {spec.output_path}: {exc}", file=sys.stderr)
         return EXIT_IO
     return EXIT_OK
-
-
-if __name__ == "__main__":
-    sys.exit(main())

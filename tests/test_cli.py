@@ -1,8 +1,10 @@
 import csv
+import dataclasses
 import io
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 import threading
@@ -104,6 +106,26 @@ class TestParseGrid:
                          "--out", str(out)]) == 0
         assert [int(row["m"]) for row in read_csv(out)] == [big + 1, big + 2, big + 3]
 
+    def test_integer_range_counted_in_integers(self, capsys, tmp_path):
+        # a float count's 1e-9 slack added a value past stop at steps >= 1e9
+        assert cli.parse_grid("1:1000000000:1000000000", int) == (1,)
+        assert cli.parse_grid("0:9999999999:10000000000", int) == (0,)
+        out = tmp_path / "step.csv"
+        assert cli.main(["theory", "--lambda", "0.8", "--m", "1:1000000000:1000000000",
+                         "--out", str(out)]) == 0
+        assert [row["m"] for row in read_csv(out)] == ["1"]
+        # a bound past the float range is refused by the rule it breaks, not by
+        # a float conversion of the bound
+        huge = "9" * 400
+        for m_grid, message in ((f"1:{huge}:1", "more than 100000 values"),
+                                (f"{huge}:{huge}:1", "relay counts must fit in a float")):
+            out = tmp_path / "huge.csv"
+            assert cli.main(["theory", "--lambda", "0.8", "--m", m_grid, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: m_grid: ") and message in err
+            assert not out.exists()
+
+
 class TestValidateSpec:
     def base(self, **overrides):
         raw = {"mode": "theory", "lambda_grid": "0.8", "m_grid": "10",
@@ -150,6 +172,16 @@ class TestValidateSpec:
         with pytest.raises(cli.SpecValidationError) as exc:
             cli.validate_spec(self.base(mode="compare", lambda_grid=lam, m_grid=m))
         assert exc.value.problems == [f"lambda_grid: {built.value}"]
+
+    def test_spec_fields_are_declared_once(self):
+        # the spec's fields are the mode, then FIELDS' keys, in that order
+        assert [f.name for f in dataclasses.fields(cli.ExperimentSpec)] == ["mode", *cli.FIELDS]
+        assert cli.ExperimentSpec.__module__ == "rara.cli"
+        spec = cli.validate_spec(self.base(mode="sim"))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.seed = 1
+        assert hash(spec) == hash(cli.validate_spec(self.base(mode="sim")))
+        assert pickle.loads(pickle.dumps(spec)) == spec
 
     def test_all_failures_reported_at_once(self):
         with pytest.raises(cli.SpecValidationError) as exc:
