@@ -18,7 +18,8 @@ values are computed: the theory columns by one broadcast solve over the
 grid, the phy and simulated columns from one pass of seeded rows.  The
 names of a table are the keys of that mapping and nowhere else.
 
-Exit codes: 0 success, 2 validation error, 3 I/O error.
+Exit codes: 0 success, 2 validation error (also a session or trial count
+whose arrays this process cannot allocate), 3 I/O error.
 """
 
 from __future__ import annotations
@@ -392,7 +393,12 @@ def main(argv=None) -> int:
         for problem in exc.problems:
             print(f"error: {problem}", file=sys.stderr)
         return EXIT_VALIDATION
-    text = render(*build_rows(spec), spec.format)
+    try:  # render's rows are capped, so only a run's sessions or trials can fail this way
+        text = render(*build_rows(spec), spec.format)
+    except MemoryError as exc:
+        print(f"error: n_sessions: {spec.n_sessions} needs more memory than this process "
+              f"can allocate ({exc})", file=sys.stderr)
+        return EXIT_VALIDATION
     try:
         write_output(text, spec.output_path)
     except OSError as exc:

@@ -24,10 +24,11 @@ it walks is stationary from the first and every one is counted.
 Runs of one session count can be walked as a group (:func:`_run_group`;
 :func:`run` is the group of one, and the CLI walks the rows of a grid in
 groups): their chains share the walk's Python steps, each still drawing
-from its own generator, and their counted sessions are counted once, in
-one (chain, batch, K) table.  Each run's session and packet counts per
-(batch, state) are summed from it, and every output is read from those
-two tables, so a run's report does not depend on its group.
+from its own generator.  Each chain's sessions are then counted on their
+own, in one (batch, K) table as wide as its own law
+(:func:`_report`).  The run's session and packet counts per (batch,
+state) are summed from it, and every output is read from those two
+tables, so a run's report does not depend on its group.
 """
 
 from __future__ import annotations
@@ -334,25 +335,45 @@ def run(config: SimConfig) -> SimReport:
 
 def _run_group(configs: list[SimConfig]) -> list[SimReport]:
     """The :func:`run` report of each of ``configs``, all of one session
-    count, from one walk and one count table.
+    count, from one walk.
 
     Each config is one chain, which enters in a class drawn by
-    :func:`_entry_class` with the first uniform of its arrival generator,
-    and the chains are walked together by :func:`_walk`.  The sessions of
-    all of them are then counted in one integer table indexed by (chain,
-    batch, K), and each chain's two (batch, state) tables, one counting
-    sessions and one counting packets, with a last row for the whole run,
-    are summed from its part as integers; every output is read from them.
-    A column's state is read off its K: Idle, Single, Success
-    (2 <= K <= M+1) or Unsuccess.  Every K below the widest table's width
-    gets a column, unless that gives more cells than each chain walks
-    sessions: then only the K that occur do, so the table's size follows
-    the K drawn, not the width of the law, and stays below the walk's.
+    :func:`_entry_class` with the first uniform of its arrival generator.
+    The chains are walked together by :func:`_walk`, each from its own
+    table and generator, and each chain's K are then counted by
+    :func:`_report` on its own, so a run's report does not depend on the
+    chains walked beside it.
+    """
+    n = configs[0].n_sessions
+    if any(config.n_sessions != n for config in configs):
+        raise ValueError("a group walks configs of one session count")
+    rngs = [list(map(np.random.default_rng, np.random.SeedSequence(config.seed).spawn(2)))
+            for config in configs]
+    tables, arr_rngs = [config._table for config in configs], [arr_rng for arr_rng, _ in rngs]
+    entries = [_entry_class(table, arr_rng) for table, arr_rng in zip(tables, arr_rngs)]
+    arrived = _walk(tables, n, arr_rngs, entries)
+    return [_report(config, k, phy_rng)
+            for config, k, (_, phy_rng) in zip(configs, arrived, rngs)]
 
-    Under the phy-coupled rule each chain then decodes its collisions of
-    each K in one call, K ascending, on its own PHY generator, the trials
-    taken in session order; a second table counts each (batch, K)'s
-    failed decodes, which are moved from Success to Unsuccess.
+
+def _report(config: SimConfig, k: np.ndarray, phy_rng: np.random.Generator) -> SimReport:
+    """The report of one chain of :func:`_run_group` from the K of its
+    sessions, ``k``, in session order.
+
+    The sessions are counted in one integer table indexed by (batch, K).
+    Every K below the width of the config's own CDF table gets a column,
+    unless that gives more cells than the chain walks sessions: then only
+    the K that occur do, so the table's size follows the K drawn, not the
+    width of the law, and stays below the walk's.  A column's state is
+    read off its K: Idle, Single, Success (2 <= K <= M+1) or Unsuccess.
+    The chain's two (batch, state) tables, one counting sessions and one
+    counting packets, are one product of it, with a last row for the whole
+    run summed as integers; every output is read from them.
+
+    Under the phy-coupled rule the chain then decodes its collisions of
+    each K in one call, K ascending, on its own PHY generator ``phy_rng``,
+    the trials taken in session order, and each batch's failed decodes of
+    that K are moved from Success to Unsuccess in both tables.
 
     The 100 batches (fewer when there are fewer sessions) are those of
     ``np.array_split``.  Every estimate is one ratio of whole-run sums:
@@ -363,65 +384,43 @@ def _run_group(configs: list[SimConfig]) -> list[SimReport]:
     sum, not as a mean of per-session ratios (Asmussen & Glynn,
     *Stochastic Simulation*, ch. IV); with one session it is NaN.
     """
-    n = configs[0].n_sessions
-    if any(config.n_sessions != n for config in configs):
-        raise ValueError("a group walks configs of one session count")
-    rngs = [list(map(np.random.default_rng, np.random.SeedSequence(config.seed).spawn(2)))
-            for config in configs]
-    tables, arr_rngs = [config._table for config in configs], [arr_rng for arr_rng, _ in rngs]
-    entries = [_entry_class(table, arr_rng) for table, arr_rng in zip(tables, arr_rngs)]
-    arrived = _walk(tables, n, arr_rngs, entries)
-
+    params = config.params
+    m = params.m_relays
+    n = len(k)
     # batch means: sessions are Markov-dependent, so per-session errors
     # understate the variance; batches restore approximate independence
     n_batches = min(_BATCHES, n)
-    # every K is below its table's width, so a column per K fits any chain
-    ks = np.arange(max(config._table.shape[1] for config in configs))
+    ks = np.arange(config._table.shape[1])  # every K is below its table's width
     if n_batches * len(ks) > n:  # count only the K that occur
-        seen = np.bincount(arrived.ravel(), minlength=len(ks)) > 0
+        seen = np.bincount(k, minlength=len(ks)) > 0
         ks = np.flatnonzero(seen)
-        arrived = (np.cumsum(seen) - 1).take(arrived)  # the column of each K
-    per_chain = n_batches * len(ks)
-    # cell (chain * n_batches + batch) * len(ks) + column; the first r
-    # batches hold one session more, as in np.array_split
+        k = (np.cumsum(seen) - 1).take(k)  # the column of each K
+    # cell batch * len(ks) + column; the first r batches hold one session
+    # more, as in np.array_split
     q, r = divmod(n, n_batches)
-    cell = np.repeat(np.arange(0, per_chain, len(ks)), [q + 1] * r + [q] * (n_batches - r))
-    cell = cell + arrived
-    cell += np.arange(0, len(configs) * per_chain, per_chain)[:, None]
-    counts = np.bincount(cell.ravel(), minlength=len(configs) * per_chain)
+    cell = np.repeat(np.arange(0, n_batches * len(ks), len(ks)),
+                     [q + 1] * r + [q] * (n_batches - r))
+    cell += k
+    counts = np.bincount(cell, minlength=n_batches * len(ks)).reshape(n_batches, len(ks))
     del cell
-    counts = counts.reshape(len(configs), n_batches, len(ks))
-    return [_report(config, chain_counts, ks, phy_rng)
-            for config, chain_counts, (_, phy_rng) in zip(configs, counts, rngs)]
-
-
-def _report(config: SimConfig, counts: np.ndarray, ks: np.ndarray,
-            phy_rng: np.random.Generator) -> SimReport:
-    """The report of one chain of :func:`_run_group` from its (batch, K)
-    session ``counts``, column i counting the sessions of K ``ks[i]``."""
-    params = config.params
-    m = params.m_relays
-    n_batches = len(counts)
     # Idle, Single, Success (2 <= K <= M+1) or Unsuccess, by K alone
     state = np.minimum(ks, 2)
     state[ks > m + 1] = 3
     of_state = state == np.arange(4)[:, None]
     # what a session of each column adds to the sessions, then the packets,
     # of each state: the (batch, 8) table of the two is one product
-    weights = np.concatenate([of_state, of_state * ks]).T
-    table = counts @ weights
+    table = counts @ np.concatenate([of_state, of_state * ks]).T
     if config.success_rule == PHY_COUPLED:
         # decode the collisions of each K in one call; failures are outages
-        failed = np.zeros_like(counts)
         for i in np.flatnonzero(of_state[2] & (counts.sum(axis=0) > 0)).tolist():
             errors = mpr.symbol_errors(int(ks[i]), m, config.snr_db, int(counts[:, i].sum()),
                                        phy_rng)
             # trial t decodes the t-th session of this K, whose batch is batch[t]
             batch = np.repeat(np.arange(n_batches), counts[:, i])
-            failed[:, i] = np.bincount(batch[errors.any(axis=1)], minlength=n_batches)
-        lost = failed @ weights[:, [2, 6]]  # the Success sessions and packets that failed
-        table[:, [2, 6]] -= lost
-        table[:, [3, 7]] += lost
+            failed = np.bincount(batch[errors.any(axis=1)], minlength=n_batches)
+            lost = np.outer(failed, [1, ks[i]])  # the Success sessions and packets that failed
+            table[:, [2, 6]] -= lost
+            table[:, [3, 7]] += lost
     # a last row for the whole run, summed from the integer counts
     table = np.vstack([table, table.sum(axis=0)])
     sessions, packets = table[:, :4], table[:, 4:]

@@ -683,6 +683,18 @@ class TestConfigAndErrors:
             cli.validate_spec({"mode": "phy", "m_grid": [cap], "snr_db": 20.0,
                                "output_path": "x.csv"})
 
+    # 10**15 sessions need 7.11 PiB of uniforms, 10**15 trials 909 TiB of
+    # error flags: more than a 47-bit address space holds, so the first
+    # array fails to allocate before a page is touched
+    @pytest.mark.parametrize("args", [["sim", "--lambda", "0.8", "--m", "2"],
+                                      ["phy", "--m", "1", "--snr-db", "20"]],
+                             ids=["sim", "phy"])
+    def test_unallocatable_count(self, capsys, tmp_path, args):
+        out = tmp_path / "x.csv"
+        assert cli.main([*args, "--sessions", str(10**15), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: n_sessions: ")
+        assert not out.exists()
+
     def test_unknown_format(self, capsys, tmp_path):
         out = tmp_path / "x.xml"
         assert cli.main(["theory", "--lambda", "0.8", "--m", "2", "--format", "xml",
