@@ -25,10 +25,10 @@ Runs of one session count can be walked as a group (:func:`_run_group`;
 :func:`run` is the group of one, and the CLI walks the rows of a grid in
 groups): their chains share the walk's Python steps, each still drawing
 from its own generator.  Each chain's sessions are then counted on their
-own, in one (batch, K) table as wide as its own law
-(:func:`_report`).  The run's session and packet counts per (batch,
-state) are summed from it, and every output is read from those two
-tables, so a run's report does not depend on its group.
+own, in one (class of the session before, K) table as wide as its own law
+(:func:`_report`).  Every output is read from that table: the totals and
+estimates, and standard errors from the plug-in variance of a ratio of
+Markov rewards, so a run's report does not depend on its group.
 """
 
 from __future__ import annotations
@@ -47,8 +47,6 @@ THRESHOLD = "threshold"
 PHY_COUPLED = "phy"
 
 DEFAULT_WARMUP = 0  # read only by the benchmark, until its next change drops it
-
-_BATCHES = 100
 
 # Largest arrival count per session the walk tabulates; a law that needs
 # more is refused, since its CDF table would not fit in memory.
@@ -155,6 +153,20 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SimReport:
+    """The counts and estimates of one simulated run.
+
+    Each ``*_hat`` is a ratio of whole-run sums: delivered packets over
+    time, Unsuccess sessions over sessions, and time over sessions.  Each
+    ``stderr_*`` estimates the standard deviation of its ``*_hat`` over
+    runs, to first order in 1/n: the asymptotic variance of a ratio of
+    Markov rewards, with the run's own transition counts plugged in
+    (:func:`_report`).  It is 0, up to rounding, when the run's counts
+    leave no spread, as in a run that never leaves Idle, and NaN for a run
+    of one session.
+    Where a run holds few visits to a class, the count it plugs in is poor
+    and so is the error, as for the mean length at slow-mixing points.
+    """
+
     sessions_by_state: tuple[int, int, int, int]  # (Idle, Single, Success, Unsuccess)
     packets_arrived: int
     packets_delivered: int
@@ -360,94 +372,83 @@ def _report(config: SimConfig, k: np.ndarray, phy_rng: np.random.Generator) -> S
     """The report of one chain of :func:`_run_group` from the K of its
     sessions, ``k``, in session order.
 
-    The sessions are counted in one integer table indexed by (batch, K).
-    Every K below the width of the config's own CDF table gets a column,
-    unless that gives more cells than the chain walks sessions: then only
-    the K that occur do, so the table's size follows the K drawn, not the
-    width of the law, and stays below the walk's.  A column's state is
-    read off its K: Idle, Single, Success (2 <= K <= M+1) or Unsuccess.
-    The chain's two (batch, state) tables, one counting sessions and one
-    counting packets, are one product of it, with a last row for the whole
-    run summed as integers; every output is read from them.
-
+    The sessions are counted in one (3, width) integer table, indexed by
+    the class (Idle, Single, Long) of the session before and K, with a
+    column for every K below the width of the config's own CDF table.  The
+    run is read as a cycle: session 0's session before is the run's last.
     Under the phy-coupled rule the chain then decodes its collisions of
     each K in one call, K ascending, on its own PHY generator ``phy_rng``,
-    the trials taken in session order, and each batch's failed decodes of
-    that K are moved from Success to Unsuccess in both tables.
+    the trials taken in session order; a failed decode makes its session
+    Unsuccess.  Every output is read from the table and those failure
+    counts.
 
-    The 100 batches (fewer when there are fewer sessions) are those of
-    ``np.array_split``.  Every estimate is one ratio of whole-run sums:
-    throughput is delivered packets (states 0-2) over time (session counts
-    times their lengths), outage is Unsuccess sessions over sessions, and
-    the mean length is time over sessions.  Its standard error is that of
-    the batch means of the same ratio, each batch ratio taken as sum over
-    sum, not as a mean of per-session ratios (Asmussen & Glynn,
-    *Stochastic Simulation*, ch. IV); with one session it is NaN.
+    Every estimate r = num / den is one ratio of whole-run sums: throughput
+    is delivered packets over time, outage is Unsuccess sessions over
+    sessions, and the mean length is time over sessions.  Its standard
+    error is the plug-in variance of a ratio of Markov rewards (Kemeny &
+    Snell's fundamental matrix; Asmussen & Glynn, *Stochastic Simulation*,
+    ch. IV).  A session's K depends on the past only through the class c
+    of the session before, so the table gives P(K | c), the class chain Q
+    and pi = visits / n, which the cyclic read makes exactly Q's
+    stationary law.  With f_K = y_K - r l_K, the mean reward of a session
+    of K less r times its length, and h = (I - Q + 1 pi)^-1 P f, the run's
+    n sigma^2 is the sum over (c, K) of count(c, K) (f_K^2 + v_K + 2 f_K
+    h_min(K, 2)).  v_K is the variance of the reward given K: d_K (1 - d_K)
+    for the outage and K^2 times that for the packets, with d_K the K's
+    decoded share, so it is 0 but under the phy-coupled rule.  The error
+    is sqrt(n sigma^2) / den, and NaN with one session.
     """
     params = config.params
-    m = params.m_relays
-    n = len(k)
-    # batch means: sessions are Markov-dependent, so per-session errors
-    # understate the variance; batches restore approximate independence
-    n_batches = min(_BATCHES, n)
-    ks = np.arange(config._table.shape[1])  # every K is below its table's width
-    if n_batches * len(ks) > n:  # count only the K that occur
-        seen = np.bincount(k, minlength=len(ks)) > 0
-        ks = np.flatnonzero(seen)
-        k = (np.cumsum(seen) - 1).take(k)  # the column of each K
-    # cell batch * len(ks) + column; the first r batches hold one session
-    # more, as in np.array_split
-    q, r = divmod(n, n_batches)
-    cell = np.repeat(np.arange(0, n_batches * len(ks), len(ks)),
-                     [q + 1] * r + [q] * (n_batches - r))
+    m, n, width = params.m_relays, len(k), config._table.shape[1]
+    ks = np.arange(width)  # every K is below its table's width
+    kind = np.minimum(ks, 2)  # the class of a session of each K
+    # cell (class of the session before) * width + K
+    cell = np.minimum(np.roll(k, 1), 2, dtype=np.intp)
+    cell *= width
     cell += k
-    counts = np.bincount(cell, minlength=n_batches * len(ks)).reshape(n_batches, len(ks))
+    counts = np.bincount(cell, minlength=3 * width).reshape(3, width)
     del cell
-    # Idle, Single, Success (2 <= K <= M+1) or Unsuccess, by K alone
-    state = np.minimum(ks, 2)
-    state[ks > m + 1] = 3
-    of_state = state == np.arange(4)[:, None]
-    # what a session of each column adds to the sessions, then the packets,
-    # of each state: the (batch, 8) table of the two is one product
-    table = counts @ np.concatenate([of_state, of_state * ks]).T
+    total = counts.sum(axis=0)
+    # the sessions of each K that deliver their packets
+    decoded = np.where(ks > m + 1, 0, total)
     if config.success_rule == PHY_COUPLED:
         # decode the collisions of each K in one call; failures are outages
-        for i in np.flatnonzero(of_state[2] & (counts.sum(axis=0) > 0)).tolist():
-            errors = mpr.symbol_errors(int(ks[i]), m, config.snr_db, int(counts[:, i].sum()),
-                                       phy_rng)
-            # trial t decodes the t-th session of this K, whose batch is batch[t]
-            batch = np.repeat(np.arange(n_batches), counts[:, i])
-            failed = np.bincount(batch[errors.any(axis=1)], minlength=n_batches)
-            lost = np.outer(failed, [1, ks[i]])  # the Success sessions and packets that failed
-            table[:, [2, 6]] -= lost
-            table[:, [3, 7]] += lost
-    # a last row for the whole run, summed from the integer counts
-    table = np.vstack([table, table.sum(axis=0)])
-    sessions, packets = table[:, :4], table[:, 4:]
+        for i in np.flatnonzero((kind == 2) & (decoded > 0)).tolist():
+            errors = mpr.symbol_errors(i, m, config.snr_db, int(total[i]), phy_rng)
+            decoded[i] -= np.count_nonzero(errors.any(axis=1))
+    idle, single, success = int(total[0]), int(total[1]), int(decoded[2:].sum())
+    sessions = (idle, single, success, n - idle - single - success)
     # Sigma count * T summed from the Long end: T is (eps, 1, M+1, M+1), so
     # only the Idle term and the last addition round, within 1 ulp in all
-    time = (sessions[:, ::-1] * params.durations[::-1]).sum(axis=1)
-    delivered = packets[:, :3].sum(axis=1)
-    counted = sessions.sum(axis=1)
+    time = float((np.array(sessions[::-1]) * params.durations[::-1]).sum())
+    arrived, delivered = int(total @ ks), int(decoded @ ks)
+    share = decoded / np.maximum(total, 1)  # each K's decoded share d_K
+    length = np.take(params.durations, kind)
+    visits = counts.sum(axis=1)
+    after = counts / np.maximum(visits, 1)[:, None]  # P(K | class before)
+    # I - Q + 1 pi, Q summing P(K | class before) over the K of each class
+    fundamental = np.eye(3) - np.c_[after[:, :2], after[:, 2:].sum(axis=1)] + visits / n
 
-    def ratio(num, den):
-        """The whole run's num / den, and the standard error of the batch
-        means of the same ratio."""
-        batches = num[:-1] / den[:-1]
-        # equal batch ratios have no spread, though np.std of them can round above 0
-        stderr = math.nan if n_batches == 1 else 0.0 if np.ptp(batches) == 0 \
-            else float(np.std(batches, ddof=1)) / math.sqrt(n_batches)
-        return float(num[-1] / den[-1]), stderr
+    def ratio(num, den, y, l, v=0.0):
+        """num / den, and its standard error from the session rewards y_K,
+        lengths l_K and reward variances v_K of each K."""
+        r = num / den
+        f = y - r * l
+        h = np.linalg.solve(fundamental, after @ f)
+        # a variance that is exactly 0 can round below 0
+        var = max(float((f * (f + 2 * h[kind]) + v) @ total), 0.0)
+        return r, math.nan if n == 1 else math.sqrt(var) / den
 
-    throughput_hat, stderr_throughput = ratio(delivered, time)
-    outage_hat, stderr_outage = ratio(sessions[:, 3], counted)
-    mean_length_hat, stderr_mean_length = ratio(time, counted)
+    throughput_hat, stderr_throughput = ratio(
+        delivered, time, ks * share, length, ks * ks * share * (1 - share))
+    outage_hat, stderr_outage = ratio(sessions[3], n, 1 - share, 1, share * (1 - share))
+    mean_length_hat, stderr_mean_length = ratio(time, n, length, 1)
     return SimReport(
-        sessions_by_state=tuple(sessions[-1].tolist()),
-        packets_arrived=int(packets[-1].sum()),
-        packets_delivered=int(delivered[-1]),
-        packets_lost=int(packets[-1, 3]),
-        total_time=float(time[-1]),
+        sessions_by_state=sessions,
+        packets_arrived=arrived,
+        packets_delivered=delivered,
+        packets_lost=arrived - delivered,
+        total_time=time,
         throughput_hat=throughput_hat,
         outage_hat=outage_hat,
         mean_session_length_hat=mean_length_hat,

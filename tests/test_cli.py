@@ -494,8 +494,8 @@ class TestJsonFormat:
 
     @pytest.mark.parametrize("mode", MODE_ARGS)
     def test_strict_json(self, tmp_path, mode):
-        # one session leaves the batch-means stderr NaN, which RFC 8259 has
-        # no token for: JSON writes null where CSV keeps nan
+        # one session leaves the stderr NaN, which RFC 8259 has no token
+        # for: JSON writes null where CSV keeps nan
         args = [mode, *MODE_ARGS[mode]]
         if mode in ("sim", "compare"):
             args[args.index("--sessions") + 1] = "1"
