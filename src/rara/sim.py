@@ -426,15 +426,16 @@ def _report(config: SimConfig, k: np.ndarray, phy_rng: np.random.Generator) -> S
     length = np.take(params.durations, kind)
     visits = counts.sum(axis=1)
     after = counts / np.maximum(visits, 1)[:, None]  # P(K | class before)
-    # I - Q + 1 pi, Q summing P(K | class before) over the K of each class
-    fundamental = np.eye(3) - np.c_[after[:, :2], after[:, 2:].sum(axis=1)] + visits / n
+    # (I - Q + 1 pi)^-1, Q summing P(K | class before) over the K of each class
+    q = np.column_stack((after[:, :2], after[:, 2:].sum(axis=1)))
+    fundamental = np.linalg.inv(np.eye(3) - q + visits / n)
 
     def ratio(num, den, y, l, v=0.0):
         """num / den, and its standard error from the session rewards y_K,
         lengths l_K and reward variances v_K of each K."""
         r = num / den
         f = y - r * l
-        h = np.linalg.solve(fundamental, after @ f)
+        h = fundamental @ (after @ f)
         # a variance that is exactly 0 can round below 0
         var = max(float((f * (f + 2 * h[kind]) + v) @ total), 0.0)
         return r, math.nan if n == 1 else math.sqrt(var) / den

@@ -299,9 +299,7 @@ class TestRun:
     def test_group_matches_runs_alone(self, n):
         # each report of a grouped run is its config's run alone, bit for bit:
         # no traffic, both laws, both rules, and rows of up to ~3000 entries.
-        # Each chain is counted on its own: at 41,000 sessions every case but
-        # (0.8, 3200) keeps a column for every K, and that one only for the K
-        # that occur
+        # Each chain is counted on its own, in a table as wide as its own law
         cases = [(0.0, 10, 0.1, None, None), (0.3, 1, 0.5, 60, None),
                  (1.5, 30, 0.9, None, None), (0.8, 4, 0.1, None, 5.0),
                  (3.0, 100, 0.2, 400, None), (0.8, 3200, 0.05, None, None),
