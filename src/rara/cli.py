@@ -268,20 +268,16 @@ def build_rows(spec: ExperimentSpec) -> tuple[list[str], list[tuple]]:
     output does not depend on the thread count.  A phy row is one task.
     Simulated rows are tasks in groups of consecutive rows whose sessions
     fit ``sim._WALK_BUDGET`` (a larger row is a group of its own), and a
-    group is walked together, which saves Python steps.  On a 2-core host
-    the pool pays on grouped rows too, at a cost in memory and CPU: the
-    ``sim_threshold`` benchmark (30 rows of 40 000 sessions, ten groups of
-    three) read 0.060 s against 0.066 s with the groups walked on the
-    calling thread, faster in 10 of 10 alternating pairs, but with 67.2 MB
-    against 62.0 MB peak RSS, and in process the run took 65 ms of CPU
-    against 53 ms.  A group's walk is many small numpy calls, each of which
-    hands the GIL over, so the pool pays more on rows that walk alone: six
-    rows of 10**6 sessions took 0.20 s on one thread and 0.16 s on two.
-    Threads help phy rows only when they are large: two
-    rows at (K, M) = (2, 2) took 9.5 ms one after another and 12.2 ms on
-    two threads, and at (9, 8) two threads were 1.86 times faster.  A row's
-    report is the same in any group, so the output does not depend on the
-    grouping either.
+    group is walked together, which saves Python steps.  A group's walk is
+    many small numpy calls, each of which hands the GIL over, so on a
+    2-core host the pool pays on rows that walk alone (six rows of 10**6
+    sessions took 0.150 s on one thread and 0.104 s on two) and breaks even
+    on grouped rows (30 rows of 40 000 sessions, ten groups of three: 46.2
+    against 45.7 ms); README's CLI section has the measurements.  Threads
+    help phy rows only when they are large: two rows at (K, M) = (2, 2)
+    took 9.5 ms one after another and 12.2 ms on two threads, and at (9, 8)
+    two threads were 1.86 times faster.  A row's report is the same in any
+    group, so the output does not depend on the grouping either.
     """
     if spec.mode == "phy":
         cells = [(k, m) for m in spec.m_grid for k in range(1, m + 2)]

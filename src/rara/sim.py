@@ -11,24 +11,28 @@ transmission (K = 1) is always delivered under both rules: it occupies the
 direct link alone for one time unit, with no relay copies to detect over.
 
 A session's length depends only on its contender count K, so K alone is a
-Markov chain.  :func:`run` draws one uniform per session and reads K off
-the CDF table of the arrival law over the length of the session before it
-(inverse-transform sampling), for Poisson and finite-population arrivals
-alike.  The table is built once, by :class:`SimConfig`.  The walk runs in
-blocks of array steps, not per session.  Every table row ends in exactly
-1.0, so a K whose probability per session is below about 2**-53 cannot be
-drawn.  A run's chain enters in a class drawn from the stationary law of
-the class chain its table drives (:func:`_entry_class`), so every session
-it walks is stationary from the first and every one is counted.
+Markov chain, and its class (Idle K = 0, Single K = 1, Long K >= 2) is a
+Markov chain of three states.  :func:`run` walks the class path: it draws
+one uniform per session and reads the class off the CDF table of the
+arrival law over the length of the session before it (inverse-transform
+sampling), for Poisson and finite-population arrivals alike.  The table is
+built once, by :class:`SimConfig`.  The walk runs in blocks of array
+steps, not per session.  Every table row ends in exactly 1.0, so a K whose
+probability per session is below about 2**-53 cannot be drawn.  A run's
+chain enters in a class drawn from the stationary law of the class chain
+its table drives (:func:`_entry_class`), so every session it walks is
+stationary from the first and every one is counted.
 
 Runs of one session count can be walked as a group (:func:`_run_group`;
 :func:`run` is the group of one, and the CLI walks the rows of a grid in
 groups): their chains share the walk's Python steps, each still drawing
 from its own generator.  Each chain's sessions are then counted on their
-own, in one (class of the session before, K) table as wide as its own law
-(:func:`_report`).  Every output is read from that table: the totals and
-estimates, and standard errors from the plug-in variance of a ratio of
-Markov rewards, so a run's report does not depend on its group.
+own, in one (class of the session before, K) table (:func:`_count`),
+whose Long K are drawn as one multinomial per class before, in the law
+the table gives them.  Every output is read from that table
+(:func:`_report`): the totals and estimates, and standard errors from the
+plug-in variance of a ratio of Markov rewards, so a run's report does not
+depend on its group.
 """
 
 from __future__ import annotations
@@ -54,12 +58,10 @@ MAX_ARRIVALS = 2**21
 
 # Sessions a walk of a group of runs may hold: the CLI walks the rows of a
 # grid in consecutive groups whose sessions fit in it (a larger row walks
-# alone).  A walk keeps about 16 B a session.
+# alone).  A walk peaks near 16 B a session, 8 of uniforms, 6 of
+# transitions and positions and the comparisons that build them, and
+# returns 1 B of class a session.
 _WALK_BUDGET = 2**17
-
-# Sessions whose K a walk reads at once, so that the lookup's temporaries
-# (17 B a session) stay small beside what the walk keeps
-_LOOKUP_SESSIONS = 2**14
 
 
 @dataclass(frozen=True)
@@ -209,47 +211,33 @@ def _cdf_table(model, durations) -> np.ndarray:
 
 def _walk(tables: list[np.ndarray], n_sessions: int, rngs: list[np.random.Generator],
           entries: list[int]) -> np.ndarray:
-    """Contender counts K of ``n_sessions`` consecutive sessions of each of
-    several chains, as a (chain, session) array of int32: chain j walks the
-    CDF table ``tables[j]`` that :func:`_cdf_table` builds for the (Idle,
-    Single, Long) lengths, draws from ``rngs[j]``, and its first session
-    follows a session of class ``entries[j]`` (0 Idle, 1 Single, 2 Long).
-    A chain's K do not depend on the other chains of the call: a group of
+    """Classes (0 Idle, 1 Single, 2 Long) of ``n_sessions`` consecutive
+    sessions of each of several chains, as a (chain, session) array of
+    int8: chain j walks the CDF table ``tables[j]`` that :func:`_cdf_table`
+    builds for the (Idle, Single, Long) lengths, draws from ``rngs[j]``, and
+    its first session follows a session of class ``entries[j]``.  A chain's
+    classes do not depend on the other chains of the call: a group of
     chains of one session count is walked in lockstep only to share the
     Python steps.
 
-    A session's K is ``searchsorted(F_c, u, side="right")`` for one uniform
-    u, in the table row F_c of the class c (Idle, Single, Long) of the
-    session before it.  Each chain draws its uniforms as ``u`` of shape
-    (isqrt(n_sessions), n_blocks), session i taking ``u.T.ravel()[i]``:
-    a block is a column.  Every block of every chain is walked in lockstep
-    from each of the three classes, the three walks of a block sharing its
-    uniforms.  A walk is at a flat position (c, chain, block), and
-    ``nxt[step]`` maps each position to the next, whose class is
-    (u >= F_c(0)) + (u >= F_c(1)) in the chain's own table, so a step is
-    one ``take`` that chases the positions of every chain at once: no
-    search and no K.  ``nxt[step]`` is read only at its step, so the
-    positions after it overwrite the row of ``nxt`` read the step before:
-    beside 8 bytes of uniforms, the walk keeps 6 bytes a session of int16
-    transitions and positions.  The blocks of each chain are then chained:
-    each enters one position past where its predecessor's chosen walk
-    ended, in the class that walk ended in.  The uniforms do not depend on
-    that choice, so this is the exact chain.
-
-    K is then read, chain by chain in the block layout of ``u``, along the
-    chosen path from a guide table, the indexed search of Chen & Asau
-    (1974; Devroye, *Non-Uniform Random Variate Generation*, III.2.4).
-    With g buckets, ``guide[j, c]`` is the first k with F_c(k) > j / g.
-    For j = floor(u g) that k is never past the answer, since u >= j / g,
-    and it is the answer unless F_c(k) <= u: for at most about width / g
-    of the sessions, which are then searched in their row.  g is a power
-    of two, so u g and j / g are exact and every K is ``searchsorted``'s.
-    g is 4 times the row width rounded up to a power of two, but no more
-    than n_sessions rounded so, lest building the guide cost more than it
-    saves.  A K below 2 is its session's class, and it is read the same
-    way.  K is read :data:`_LOOKUP_SESSIONS` sessions at a time, so the
-    lookup's temporaries stay small, and only K, four bytes a session, is
-    put in session order.
+    A session's class is (u >= F_c(0)) + (u >= F_c(1)) for one uniform u,
+    in the table row F_c of the class c of the session before it: the class
+    of ``searchsorted(F_c, u, side="right")``, the K that u would draw.
+    Each chain draws its uniforms as ``u`` of shape (isqrt(n_sessions),
+    n_blocks), session i taking ``u.T.ravel()[i]``: a block is a column.
+    Every block of every chain is walked in lockstep from each of the three
+    classes, the three walks of a block sharing its uniforms.  A walk is at
+    a flat position (c, chain, block), and ``nxt[step]`` maps each position
+    to the next, in the class the step's uniform gives in the chain's own
+    table, so a step is one ``take`` that chases the positions of every
+    chain at once.  Once ``nxt`` is built the uniforms are freed.
+    ``nxt[step]`` is read only at its step, so the positions after it
+    overwrite the row of ``nxt`` read the step before: the walk keeps 6
+    bytes a session of int16 transitions and positions.  The blocks of each
+    chain are then chained: each enters one position past where its
+    predecessor's chosen walk ended, in the class that walk ended in.  The
+    uniforms do not depend on that choice, so this is the exact chain.  The
+    classes are read along the chosen path and put in session order.
     """
     size = math.isqrt(n_sessions)
     n_blocks = -(-n_sessions // size)
@@ -268,6 +256,7 @@ def _walk(tables: list[np.ndarray], n_sessions: int, rngs: list[np.random.Genera
         for c in range(3):
             np.add(u_chain >= table[c, 0], u_chain >= table[c, 1], out=nxt[:, c, chain],
                    dtype=itype)
+    del u, u_chain
     nxt *= lanes  # next class c' of lane l -> position c' * lanes + l
     nxt += np.arange(lanes, dtype=itype).reshape(chains, n_blocks)
     pos = np.arange(3 * lanes, dtype=itype)
@@ -279,38 +268,11 @@ def _walk(tables: list[np.ndarray], n_sessions: int, rngs: list[np.random.Genera
         path.append(entry * lanes + first)
         for _ in range(n_blocks - 1):
             path.append(ends[path[-1]] + 1)
-    # the chosen walks start at their path, and are at work[t - 1, path]
-    # after t steps
-    path = np.array(path)
-    before = np.empty((size, lanes), dtype=itype)
-    before[0] = path
-    work[:size - 1].take(path, axis=1, out=before[1:], mode="clip")
-    del work, nxt, pos
-    before //= lanes
-    k = np.empty((chains, size, n_blocks), dtype=np.int32)
-    rows = max(1, _LOOKUP_SESSIONS // n_blocks)  # the rows of u whose K are read at once
-    for chain, (table, u_chain, k_chain) in enumerate(zip(tables, u, k)):
-        # guide[j, c] is the first k with F_c(k) > j / g and bound[j, c] is F_c
-        # there, laid out so that bucket j of class c is at 3j + c
-        g = 1 << (min(4 * table.shape[1], n_sessions) - 1).bit_length()
-        guide = np.stack([np.searchsorted(row, np.arange(g) / g, side="right")
-                          for row in table], axis=1).astype(np.int32)
-        bound = np.take_along_axis(table.T, guide, axis=0).ravel()
-        guide = guide.ravel()
-        for lo in range(0, size, rows):
-            u_in, k_out = u_chain[lo:lo + rows].ravel(), k_chain[lo:lo + rows].ravel()
-            c_in = before[lo:lo + rows, chain * n_blocks:(chain + 1) * n_blocks].ravel()
-            start = np.empty(u_in.shape, dtype=np.intp)
-            np.multiply(u_in, g, out=start, casting="unsafe")  # floor(u g), as u g >= 0
-            start *= 3
-            start += c_in
-            far = np.flatnonzero(bound.take(start) <= u_in)  # K past the guide
-            guide.take(start, out=k_out, mode="clip")
-            for c in range(3):
-                of_c = far[c_in[far] == c]
-                k_out[of_c] = np.searchsorted(table[c], u_in[of_c], side="right")
-    del u, before
-    return k.transpose(0, 2, 1).reshape(chains, size * n_blocks)[:, :n_sessions]
+    # the chosen walks start at their path, and are at work[t, path] after
+    # t + 1 steps: the position of their session t
+    classes = work[:size].take(path, axis=1) // lanes
+    return (classes.astype(np.int8).reshape(size, chains, n_blocks).transpose(1, 2, 0)
+            .reshape(chains, size * n_blocks)[:, :n_sessions])
 
 
 def _entry_class(table: np.ndarray, rng: np.random.Generator) -> int:
@@ -351,8 +313,8 @@ def _run_group(configs: list[SimConfig]) -> list[SimReport]:
 
     Each config is one chain, which enters in a class drawn by
     :func:`_entry_class` with the first uniform of its arrival generator.
-    The chains are walked together by :func:`_walk`, each from its own
-    table and generator, and each chain's K are then counted by
+    The chains' class paths are walked together by :func:`_walk`, each
+    from its own table and generator, and each chain is then counted by
     :func:`_report` on its own, so a run's report does not depend on the
     chains walked beside it.
     """
@@ -363,24 +325,60 @@ def _run_group(configs: list[SimConfig]) -> list[SimReport]:
             for config in configs]
     tables, arr_rngs = [config._table for config in configs], [arr_rng for arr_rng, _ in rngs]
     entries = [_entry_class(table, arr_rng) for table, arr_rng in zip(tables, arr_rngs)]
-    arrived = _walk(tables, n, arr_rngs, entries)
-    return [_report(config, k, phy_rng)
-            for config, k, (_, phy_rng) in zip(configs, arrived, rngs)]
+    paths = _walk(tables, n, arr_rngs, entries)
+    return [_report(config, path, entry, *chain_rngs)
+            for config, path, entry, chain_rngs in zip(configs, paths, entries, rngs)]
 
 
-def _report(config: SimConfig, k: np.ndarray, phy_rng: np.random.Generator) -> SimReport:
-    """The report of one chain of :func:`_run_group` from the K of its
-    sessions, ``k``, in session order.
+def _count(table: np.ndarray, path: np.ndarray, entry: int, last: int,
+           rng: np.random.Generator) -> np.ndarray:
+    """A chain's sessions counted in one (3, width) integer table, indexed
+    by the class (Idle, Single, Long) of the session before and K, width
+    being that of its CDF ``table``.  ``path`` holds the chain's classes in
+    session order, as :func:`_walk` gives them.  Its first session follows
+    a session of class ``entry`` and is counted after one of class
+    ``last``: :func:`_report` passes the run's last class, to read the run
+    as a cycle.
 
-    The sessions are counted in one (3, width) integer table, indexed by
-    the class (Idle, Single, Long) of the session before and K, with a
-    column for every K below the width of the config's own CDF table.  The
-    run is read as a cycle: session 0's session before is the run's last.
-    Under the phy-coupled rule the chain then decodes its collisions of
-    each K in one call, K ascending, on its own PHY generator ``phy_rng``,
-    the trials taken in session order; a failed decode makes its session
-    Unsuccess.  Every output is read from the table and those failure
-    counts.
+    A session of class 0 or 1 is its own K.  The K of the Long sessions
+    after each class c are drawn from ``rng`` as one multinomial over the
+    K >= 2 of nonzero probability in the row F_c, K with probability
+    (F_c(K) - F_c(K-1)) / (1 - F_c(1)), which is the walk's law of K given
+    c and K >= 2.  A Long first session is one more draw, from the row of
+    ``entry``, so every K keeps the chain's law.
+    """
+    # the sessions after the first, by the class before them and their own
+    moves = np.bincount(3 * path[:-1] + path[1:], minlength=9).reshape(3, 3)
+    counts = np.zeros((3, table.shape[1]), dtype=np.int64)
+    counts[:, :2] = moves[:, :2]
+    if path[0] < 2:
+        counts[last, path[0]] += 1
+    for drawn, counted, n in zip((0, 1, 2, entry), (0, 1, 2, last),
+                                 (*moves[:, 2].tolist(), int(path[0] == 2))):
+        if n:
+            row = table[drawn]
+            p = np.diff(row[1:]) / (1.0 - row[1])
+            ks = np.flatnonzero(p)
+            counts[counted, ks + 2] += rng.multinomial(n, p[ks])
+    return counts
+
+
+def _report(config: SimConfig, path: np.ndarray, entry: int, arr_rng: np.random.Generator,
+            phy_rng: np.random.Generator) -> SimReport:
+    """The report of one chain of :func:`_run_group` from the classes of
+    its sessions, ``path``, in session order, and its entry class.
+
+    The sessions are counted by :func:`_count`, the K of the Long ones
+    drawn from the chain's arrival generator ``arr_rng`` after its walk,
+    so a threshold and a phy-coupled run of one seed see the same
+    sessions.  The run is read as a cycle: session 0's session before is
+    the run's last.  Only the columns of the K the run visits, and of 0
+    and 1, are kept, so the arithmetic below scales with the session count
+    and not with the width of the law.  Under the phy-coupled rule the
+    chain then decodes its collisions of each K in one call, K ascending,
+    on its own PHY generator ``phy_rng``; a failed decode makes its
+    session Unsuccess.  Every output is read from the table and those
+    failure counts.
 
     Every estimate r = num / den is one ratio of whole-run sums: throughput
     is delivered packets over time, outage is Unsuccess sessions over
@@ -399,22 +397,18 @@ def _report(config: SimConfig, k: np.ndarray, phy_rng: np.random.Generator) -> S
     is sqrt(n sigma^2) / den, and NaN with one session.
     """
     params = config.params
-    m, n, width = params.m_relays, len(k), config._table.shape[1]
-    ks = np.arange(width)  # every K is below its table's width
+    m, n = params.m_relays, len(path)
+    counts = _count(config._table, path, entry, path[-1], arr_rng)
+    ks = np.union1d([0, 1], np.flatnonzero(counts.any(axis=0)))  # the K the run visits
+    counts = counts[:, ks]
     kind = np.minimum(ks, 2)  # the class of a session of each K
-    # cell (class of the session before) * width + K
-    cell = np.minimum(np.roll(k, 1), 2, dtype=np.intp)
-    cell *= width
-    cell += k
-    counts = np.bincount(cell, minlength=3 * width).reshape(3, width)
-    del cell
     total = counts.sum(axis=0)
     # the sessions of each K that deliver their packets
     decoded = np.where(ks > m + 1, 0, total)
     if config.success_rule == PHY_COUPLED:
         # decode the collisions of each K in one call; failures are outages
         for i in np.flatnonzero((kind == 2) & (decoded > 0)).tolist():
-            errors = mpr.symbol_errors(i, m, config.snr_db, int(total[i]), phy_rng)
+            errors = mpr.symbol_errors(int(ks[i]), m, config.snr_db, int(total[i]), phy_rng)
             decoded[i] -= np.count_nonzero(errors.any(axis=1))
     idle, single, success = int(total[0]), int(total[1]), int(decoded[2:].sum())
     sessions = (idle, single, success, n - idle - single - success)

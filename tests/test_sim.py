@@ -87,14 +87,17 @@ class TestCdfTable:
         rng = np.random.default_rng(0)
         durations = A.SystemParams(0.8, 10).durations[:3]
         def walk(model, n):
-            return sim._walk([sim._cdf_table(model, durations)], n, [rng], [1])[0]
+            """The sessions of each K, summed over the class before."""
+            table = sim._cdf_table(model, durations)
+            path = sim._walk([table], n, [rng], [1])[0]
+            return sim._count(table, path, 1, 1, rng).sum(axis=0)
 
-        assert not walk(sim.PoissonProcess(0.0), 1000).any()
-        assert not walk(sim.FinitePopulation(30, 0.0), 1000).any()
-        assert np.all(walk(sim.FinitePopulation(30, 1.0), 1000) == 30)
+        assert walk(sim.PoissonProcess(0.0), 1000).tolist() == [1000, 0]
+        assert walk(sim.FinitePopulation(30, 0.0), 1000).tolist() == [1000, 0]
+        assert walk(sim.FinitePopulation(30, 1.0), 1000).tolist() == [0] * 30 + [1000]
         # M + 1 >= n: the table stops at k = n and every draw fits in it
-        k = walk(sim.FinitePopulation(5, 0.5), 10_000)
-        assert k.max() == 5 and k.min() >= 0
+        sessions = walk(sim.FinitePopulation(5, 0.5), 10_000)
+        assert len(sessions) == 6 and sessions[5] > 0 and sessions.sum() == 10_000
         assert sim._cdf_table(sim.FinitePopulation(5, 0.5), durations).shape[1] == 6
 
     def test_rejects_untabulable_laws(self):
@@ -112,15 +115,14 @@ class TestCdfTable:
         table = sim._cdf_table(model, durations)
         rng = np.random.default_rng(3)
         entry = sim._entry_class(table, rng)
-        k = sim._walk([table], 200_000, [rng], [entry])[0]
-        before = np.minimum(np.concatenate([[entry], k[:-1]]), 2)
-        for c in range(3):
-            after = k[before == c]
+        path = sim._walk([table], 200_000, [rng], [entry])[0]
+        # each session counted after the class it was walked from
+        table_counts = sim._count(table, path, entry, entry, rng)
+        for c, counts in enumerate(table_counts):
             pmf = np.diff(table[c], prepend=0.0)
-            counts = np.bincount(after, minlength=len(pmf))
             assert len(counts) == len(pmf)  # every draw fits in the table
             seen = pmf > 1e-6
-            expect = len(after) * pmf[seen]
+            expect = counts.sum() * pmf[seen]
             z = (counts[seen] - expect) / np.sqrt(expect * (1 - pmf[seen]))
             assert np.max(np.abs(z)) < 5
             assert counts[~seen].sum() <= 2
@@ -155,13 +157,14 @@ class TestWalk:
     @pytest.mark.parametrize("n", [1, 2, 3, 37, 10_007])
     @pytest.mark.parametrize("case", list(WALK_CASES))
     def test_matches_session_by_session_chain(self, case, n):
-        # the values of n enter in all three classes
+        # the class path is the class of each K of the session-by-session
+        # chain, bit for bit; the values of n enter in all three classes
         model, params = WALK_CASES[case]
         durations = params.durations[:3]
-        k = sim._walk([sim._cdf_table(model, durations)], n, [np.random.default_rng(n)],
-                      [n % 3])[0]
-        assert np.array_equal(k, _walk_by_session(model, durations, n, np.random.default_rng(n),
-                                                  n % 3))
+        path = sim._walk([sim._cdf_table(model, durations)], n, [np.random.default_rng(n)],
+                         [n % 3])[0]
+        k = _walk_by_session(model, durations, n, np.random.default_rng(n), n % 3)
+        assert path.dtype == np.int8 and np.array_equal(path, np.minimum(k, 2))
 
     @pytest.mark.parametrize("n", [1, 2, 37, 10_007])
     def test_lanes_match_one_chain_walks(self, n):
@@ -179,11 +182,11 @@ class TestWalk:
 
     def test_memory_is_bounded(self):
         # one walk of 1,001,000 sessions, and a group of three chains that
-        # fills the walk budget.  A walk keeps 8 B of uniforms, 6 B of int16
-        # transitions and positions and 2 B of classes a session, then an
-        # int32 K; the lookup's temporaries cover _LOOKUP_SESSIONS sessions
-        # at a time.  The peak is near 18 B a session.  A walk that keeps
-        # the transitions apart from the positions and a second,
+        # fills the walk budget.  A walk keeps 8 B of uniforms beside 6 B of
+        # int16 transitions and positions a session, and a chain's two
+        # comparisons while it builds them; the uniforms are freed before the
+        # classes are read.  The peak is near 16 B a session.  A walk that
+        # keeps the transitions apart from the positions and a second,
         # session-order copy of the uniforms peaks near 27 B a session, so
         # the bound fails it
         durations = PARAMS_DEFAULT.durations[:3]
@@ -328,13 +331,13 @@ class TestRun:
 
     @pytest.mark.parametrize("cfg, counts", [
         (sim.SimConfig(PARAMS_DEFAULT, sim.PoissonProcess(0.8), 20_000, seed=42),
-         ((867, 164, 15643, 3326), 166776, 122251)),
+         ((867, 164, 15598, 3371), 166784, 121492)),
         (sim.SimConfig(PARAMS_DEFAULT, sim.FinitePopulation.from_traffic(0.8, 50),
                        20_000, seed=7),
-         ((745, 147, 17120, 1988), 155949, 130246)),
+         ((745, 147, 17196, 1912), 155213, 130368)),
         (sim.SimConfig(A.SystemParams(0.8, 4, 0.1), sim.PoissonProcess(0.8), 3000,
                        seed=11, success_rule=sim.PHY_COUPLED, snr_db=10.0),
-         ((1955, 304, 497, 244), 3379, 1877)),
+         ((1955, 304, 478, 263), 3373, 1792)),
     ], ids=["poisson", "finite", "phy"])
     def test_seeded_counts_are_pinned(self, cfg, counts):
         # seeded runs give the same integers on every commit, not only
@@ -390,7 +393,9 @@ class TestRun:
     def test_block_chaining(self):
         # runs of 100 sessions are cut into 10 blocks, so ~9% of the pooled
         # one-step transitions cross a block boundary; the K after each
-        # class must follow that class's arrival law (K >= 5 pooled)
+        # class must follow that class's arrival law (K >= 5 pooled).  Each
+        # session is counted after the class it was walked from, the first
+        # after its entry class
         durations = A.SystemParams(1.0, 1, 0.1).durations[:3]
         # the lumped (Idle, Single, Long) rows of the analytic chain
         lumped = A.transition_matrix(A.SystemParams(1.0, 1, 0.1))[:3]
@@ -399,8 +404,10 @@ class TestRun:
             table = sim._cdf_table(model, durations)
             counts = np.zeros((3, 6))
             for _ in range(2000):
-                k = sim._walk([table], 100, [rng], [sim._entry_class(table, rng)])[0]
-                np.add.at(counts, (np.minimum(k[:-1], 2), np.minimum(k[1:], 5)), 1)
+                entry = sim._entry_class(table, rng)
+                path = sim._walk([table], 100, [rng], [entry])[0]
+                run = sim._count(table, path, entry, entry, rng)
+                counts += np.column_stack((run[:, :5], run[:, 5:].sum(axis=1)))
             p = np.array([_law_pmf(model, t, np.arange(6)) for t in durations])
             p[:, 5] = 1 - p[:, :5].sum(axis=1)
             if isinstance(model, sim.PoissonProcess):
@@ -409,23 +416,58 @@ class TestRun:
             z = (counts / visits - p) / np.sqrt(p * (1 - p) / visits)
             assert np.max(np.abs(z)) < 5
 
+    def test_first_session_follows_its_entry_class(self):
+        # session 0 is counted after the run's last session, but its K is
+        # drawn after its entry class.  A run of one session is its own last
+        # session, so a Long one read after the cyclic class would draw
+        # from the Long row.  At (1.0, 4, 1) Idle and Single last 1 unit and
+        # Long 5, so the K of a Long session after an Idle or Single entry
+        # has the mean E[X | X >= 2] = 2.39 of X ~ Poisson(1); after Long
+        # it would be 5.18
+        params = A.SystemParams(1.0, 4, 1.0)
+        ks = []
+        for seed in range(2500):
+            cfg = sim.SimConfig(params, sim.PoissonProcess(1.0), 1, seed=seed)
+            arr_ss, _ = np.random.SeedSequence(seed).spawn(2)
+            k = sim.run(cfg).packets_arrived
+            if sim._entry_class(cfg._table, np.random.default_rng(arr_ss)) < 2 and k >= 2:
+                ks.append(k)
+        x = stats.poisson(1.0)
+        mean = (x.mean() - x.pmf(1)) / x.sf(1)
+        var = (x.moment(2) - x.pmf(1)) / x.sf(1) - mean**2
+        assert len(ks) > 50
+        assert abs(np.mean(ks) - mean) < 4 * math.sqrt(var / len(ks))
+
+    def test_wide_law_memory_follows_the_sessions(self):
+        # 500 sessions of a law whose table is 102 736 columns wide: the
+        # estimator works on the columns of the K the run visits.  Float
+        # work over every column of the table peaked at 14 MB
+        cfg = sim.SimConfig(A.SystemParams(100.0, 1000, 0.05), sim.PoissonProcess(100.0), 500)
+        tracemalloc.start()
+        try:
+            sim.run(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7e6
+
     @pytest.mark.parametrize("n", [1, 37, 10_007])
     def test_stderr_is_the_lagged_autocovariance_sum(self, n):
         # the errors of run are the plug-in Markov-reward variance of the run
         # read as a cycle, rebuilt here from the walk's own generator: the
-        # cyclic K -> K transitions are counted session by session and pooled
-        # by the class of the K before, and f's autocovariances on that K
-        # chain are summed lag by lag, in place of the fundamental matrix
+        # run's (class of the session before, K) table, read as a cycle, is
+        # taken as a K chain over the table's whole width, and f's
+        # autocovariances on that chain are summed lag by lag, in place of
+        # the fundamental matrix
         cfg = sim.SimConfig(PARAMS_DEFAULT, sim.PoissonProcess(0.8), n, seed=4)
         rep = sim.run(cfg)
         arr_ss, _ = np.random.SeedSequence(4).spawn(2)
         rng, table = np.random.default_rng(arr_ss), cfg._table
-        k = sim._walk([table], n, [rng], [sim._entry_class(table, rng)])[0].tolist()
-        ks = np.arange(max(k) + 1)
+        entry = sim._entry_class(table, rng)
+        path = sim._walk([table], n, [rng], [entry])[0]
+        moves = sim._count(table, path, entry, path[-1], rng)  # (class of the K before, K)
+        ks = np.arange(moves.shape[1])
         kind = np.minimum(ks, 2)
-        moves = np.zeros((3, len(ks)))  # (class of the K before, K)
-        for before, now in zip(k[-1:] + k[:-1], k):
-            moves[min(before, 2), now] += 1
         step = moves[kind] / np.maximum(moves.sum(axis=1), 1)[kind, None]
         share = moves.sum(axis=0) / n  # the run's share of sessions of each K
         lost = ks > PARAMS_DEFAULT.m_relays + 1
@@ -514,7 +556,7 @@ class TestRun:
 
     def test_phy_losses_are_the_unsuccessful_sessions_packets(self, monkeypatch):
         # a decoder that fails every collision of even K: the lost packets
-        # are those of K > M+1 and of even K, read off the walk's own K
+        # are those of K > M+1 and of even K, read off the run's own table
         def symbol_errors(k, m, snr_db, trials, rng):
             return np.full((trials, k), k % 2 == 0)
 
@@ -525,10 +567,14 @@ class TestRun:
         rep = sim.run(cfg)
         arr_ss, _ = np.random.SeedSequence(8).spawn(2)
         rng, table = np.random.default_rng(arr_ss), cfg._table
-        k = sim._walk([table], 5000, [rng], [sim._entry_class(table, rng)])[0]
+        entry = sim._entry_class(table, rng)
+        path = sim._walk([table], 5000, [rng], [entry])[0]
+        sessions = sim._count(table, path, entry, path[-1], rng).sum(axis=0)
+        k = np.arange(len(sessions))
         lost = (k > params.m_relays + 1) | ((k >= 2) & (k % 2 == 0))
-        assert rep.sessions_by_state[3] == np.count_nonzero(lost) > 0
-        assert (rep.packets_lost, rep.packets_delivered) == (k[lost].sum(), k[~lost].sum())
+        assert rep.sessions_by_state[3] == sessions[lost].sum() > 0
+        assert (rep.packets_lost, rep.packets_delivered) == (
+            (k * sessions)[lost].sum(), (k * sessions)[~lost].sum())
 
     def test_phy_rule_matches_threshold_at_high_snr(self):
         common = dict(params=PARAMS_DEFAULT, arrivals=sim.PoissonProcess(0.8),
